@@ -109,10 +109,6 @@ class EpisodeResult:
     weights: np.ndarray  # (steps, N+1) executed targets
     logits: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def value_curve(self) -> np.ndarray:
-        return self.values
-
 
 def run_episode(series: MarketSeries, policy, mode: str = "deterministic",
                 seed: int = 0, split: str = "test",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .errors import (
     DataError,
     FeatureError,
     InfeasibleTargetError,
+    NumericError,
 )
 from .marketdata import (
     WARMUP_DAYS,
@@ -251,9 +253,12 @@ class ExternalForecastSource:
                         row["asset"].strip(),
                         int(row["horizon"]),
                     )
-                    cells[key] = float(row["predicted_movement"])
+                    movement = float(row["predicted_movement"])
                 except (ValueError, TypeError) as exc:
                     raise DataError(f"{path}: malformed row {line_no}: {exc}") from exc
+                if not math.isfinite(movement):
+                    raise DataError(f"{path}: non-finite predicted_movement in row {line_no}")
+                cells[key] = movement
         return cls(cells)
 
     def validate_coverage(self, series: MarketSeries, ts, horizon: int) -> None:
@@ -450,6 +455,8 @@ def build_trajectory(source, series: MarketSeries, t: int, horizon: int,
     movements = source.predict_movements(series, t, horizon)
     if movements.shape != (horizon, series.n_assets):
         raise ConfigError(f"source returned shape {movements.shape}")
+    if not np.all(np.isfinite(movements)):
+        raise NumericError(f"non-finite predicted movements at base date {series.dates[t]}")
     p_t = series.close[t]
     prices = p_t + np.cumsum(movements, axis=0)
     prices = np.maximum(prices, PRICE_FLOOR_FRAC * p_t)

@@ -222,10 +222,6 @@ class Normalizer:
     def invert(self, normalized: np.ndarray) -> np.ndarray:
         return self.mean + self.std * normalized
 
-    def invert_feature(self, normalized, feature: int, asset=slice(None)):
-        """Invert a single feature column (vectorized over assets)."""
-        return self.mean[asset, feature] + self.std[asset, feature] * normalized
-
 
 def fit_normalizer(series: MarketSeries, split: str) -> Normalizer:
     """Fit z-score statistics (sample std, ddof=1) on a split's usable days."""

@@ -6,14 +6,17 @@ epochs of gradient ascent on a discounted imagined return with a detached
 terminal critic bootstrap (phase 2, gradients through actor parameters only),
 executes the adapted deterministic action, and re-plans at the next step.
 
-Two planning variants are implemented as separate code paths: the full one
-with K noise-perturbed particles and a downside semi-deviation penalty, and a
-vanilla one with a single deterministic trajectory optimizing the plain mean
-return. With particles=1, sigma=0, lambda=0 both paths are bit-identical by
-construction.
+One code path serves every variant: K noise-perturbed particles scored by
+their mean return minus a downside semi-deviation penalty. The vanilla planner
+is the setting particles=1, sigma=0, lambda=0 of that path; `VARIANTS` only
+names the allowed combinations for config validation.
 
 Because allocations do not move prices, imagined states never depend on the
-actions taken, which is what makes the phase-1 cache valid across epochs.
+actions taken, which is what makes the phase-1 cache valid across epochs and
+lets `planner_objective` score all K x H imagined steps as array ops with a
+hand-written reverse pass. `particle_return` and `risk_objective` build the same
+objective on the scalar tape; they remain only as the reference its tests
+compare against.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .env import EnvConfig, PortfolioState, all_cash_weights, step
 from .errors import ConfigError, NumericError
 from .forecast import NoiseCalibration, ParticlePath, build_trajectory, perturb
 from .marketdata import FeatureView, MarketSeries
-from .policy import PolicyParams, act, actor_weights_taped, grad, make_leaves, value
+from .policy import PolicyParams, act, actor_backward, actor_forward, actor_weights_taped, value
 
 VARIANTS = ("vanilla", "noise_only", "noise_lambda")
 RESET_MODES = ("persist", "reset_each_step")
@@ -199,31 +202,99 @@ class StepReport:
         }
 
 
-def _draw_action_noise(params, horizon, k, rng):
+def _draw_action_noise(params, shape, rng):
+    """One (K, H, N+1) draw; K draws of (H, N+1) give the same numbers."""
     if params.config.mode != "stochastic":
-        return [None] * k
-    dim = params.config.action_dim
-    return [rng.standard_normal((horizon, dim)) for _ in range(k)]
+        return None
+    return rng.standard_normal((*shape, params.config.action_dim))
 
 
-def _phase1(params, series, t, forecaster, cfg, normalizer, noise_calib, rng_noise,
-            vanilla: bool):
-    """Forecast states, noise draws, and detached bootstraps for one step."""
+def _phase1(params, series, t, forecaster, cfg, normalizer, noise_calib, rng_noise):
+    """Stacked imagined states, relatives and detached bootstraps for one step.
+
+    Returns None when the forecaster covers no step from t. With sigma == 0,
+    `perturb` returns the unperturbed path K times and draws nothing.
+    """
     h_eff = min(cfg.horizon, forecaster.available_horizon(series, t))
     if h_eff < 1:
-        return None, None
+        return None
     traj = build_trajectory(forecaster, series, t, h_eff, normalizer=normalizer)
-    if vanilla:
-        particles = [ParticlePath(states=traj.states, relatives=traj.relatives)]
-    else:
-        particles = perturb(traj, noise_calib, cfg.noise_sigma, cfg.particles, rng_noise)
-    bootstraps = [value(params, p.states[-1].ravel()) for p in particles]
-    return particles, bootstraps
+    particles = perturb(traj, noise_calib, cfg.noise_sigma, cfg.particles, rng_noise)
+    bootstraps = np.array([value(params, p.states[-1].ravel()) for p in particles])
+    return (np.stack([p.states for p in particles]),
+            np.stack([p.relatives for p in particles]), bootstraps)
 
 
-def _ascend(params, leaves, objective, step_size):
+def planner_objective(params: PolicyParams, obs_flat, states, relatives, prev_weights,
+                      value0: float, bootstraps, fee_rate: float, discount: float,
+                      risk_lambda: float, eps_num: float, action_noise=None):
+    """Risk objective over K imagined rollouts and its exact gradient in the actor.
+
+    states (K, H, N, 11) and relatives (K, H, N) come from phase 1; step 0 acts
+    on the real observation and step h on states[:, h-1]. action_noise is
+    (K, H, N+1) for a stochastic policy, else None. Because the weights never
+    move prices, each step's drifted weights, turnover t_h and growth factor
+    c_h = (1 - fee * t_h)(1 + rho_h) are array ops over (K, H), and the value
+    path is value0 * cumprod(c). The reverse pass is written out by hand.
+
+    Returns (objective, per-particle returns (K,), downside variance, flat
+    gradient aligned with `PolicyParams.flat`, critic entries 0).
+    """
+    k, horizon, n = relatives.shape
+    x = np.concatenate([np.broadcast_to(obs_flat, (k, 1, obs_flat.size)),
+                        states[:, :-1].reshape(k, horizon - 1, obs_flat.size)], axis=1)
+    z = None if action_noise is None else action_noise.reshape(k * horizon, n + 1)
+    w_rows, acts = actor_forward(params, x.reshape(k * horizon, obs_flat.size), z)
+    w = w_rows.reshape(k, horizon, n + 1)
+
+    rel_full = np.concatenate([np.ones((k, horizon, 1)), relatives], axis=2)
+    drifted = w[:, :-1] * rel_full[:, :-1]
+    drift_sum = drifted.sum(axis=2, keepdims=True)
+    prev = np.concatenate([np.broadcast_to(prev_weights, (k, 1, n + 1)),
+                           drifted / drift_sum], axis=1)
+    sign = np.sign(w - prev)
+    fee_keep = 1.0 - fee_rate * np.abs(w - prev).sum(axis=2)
+    growth = 1.0 + (w * (rel_full - 1.0)).sum(axis=2)
+    c = fee_keep * growth
+    values = np.concatenate([np.full((k, 1), value0), value0 * np.cumprod(c, axis=1)], axis=1)
+    bad = np.argwhere(~np.isfinite(values[:, 1:]))
+    if bad.size:
+        raise NumericError(
+            f"non-finite imagined value (particle {bad[0][0]}, step {bad[0][1]})")
+
+    gammas = discount ** np.arange(horizon + 1)
+    returns = (values[:, 1:] - values[:, :-1]) @ gammas[:-1] + gammas[-1] * bootstraps
+    mean = returns.mean()
+    down = np.minimum(returns - mean, 0.0)
+    downside_var = float(np.mean(down ** 2))
+    spread = np.sqrt(downside_var + eps_num)
+    objective = float(mean - risk_lambda * spread)
+
+    # J = -V_0 + sum_m coef_m V_m + gamma^H B, so dJ/dc_h = V_h T_h with
+    # T_{H-1} = coef_H and T_h = coef_{h+1} + c_{h+1} T_{h+1}; dividing a
+    # suffix sum by c_h instead would fail where a fee zeroes c_h
+    coef = gammas[:-1] - gammas[1:]
+    coef[-1] = gammas[-2]
+    tail = np.empty((k, horizon))
+    tail[:, -1] = coef[-1]
+    for h in range(horizon - 2, -1, -1):
+        tail[:, h] = coef[h] + c[:, h + 1] * tail[:, h + 1]
+    g_returns = (1.0 - risk_lambda * (down - down.mean()) / spread) / k
+    g_c = g_returns[:, None] * values[:, :-1] * tail
+    g_turnover = (-fee_rate * g_c * growth)[..., None] * sign
+    g_w = g_turnover + (g_c * fee_keep)[..., None] * (rel_full - 1.0)
+    # prev_h = u / sum(u) with u = w_{h-1} * rel_full_{h-1}; prev_0 is fixed
+    g_prev = -g_turnover[:, 1:]
+    g_u = (g_prev - (g_prev * prev[:, 1:]).sum(axis=2, keepdims=True)) / drift_sum
+    g_w[:, :-1] += g_u * rel_full[:, :-1]
+    g = actor_backward(params, acts, w_rows, g_w.reshape(k * horizon, n + 1), z)
+    return objective, returns, downside_var, g
+
+
+def _ascend(params, g, step_size):
     """One gradient-ascent update; returns the gradient norm."""
-    g = grad(objective, leaves, params)
+    if not np.all(np.isfinite(g)):
+        raise NumericError("non-finite gradient")
     with np.errstate(over="ignore", invalid="ignore"):
         flat = params.flat() + step_size * g
     if not np.all(np.isfinite(flat)):
@@ -232,44 +303,41 @@ def _ascend(params, leaves, objective, step_size):
     return float(np.linalg.norm(g))
 
 
-def adapt_step_full(params: PolicyParams, obs_flat, port_value, port_weights,
-                    series, t, forecaster, cfg: MpcConfig, fee_rate,
-                    normalizer=None, noise_calib: NoiseCalibration | None = None,
-                    rng_action=None, rng_noise=None) -> tuple[np.ndarray, StepReport]:
-    """Risk-penalized particle planning (noise + lambda path)."""
+def adapt_step(params: PolicyParams, obs_flat, port_value, port_weights,
+               series, t, forecaster, cfg: MpcConfig, fee_rate,
+               normalizer=None, noise_calib: NoiseCalibration | None = None,
+               rng_action=None, rng_noise=None) -> tuple[np.ndarray, StepReport]:
+    """Plan one step and return the executed deterministic weights.
+
+    Runs E ascent epochs on the risk objective over the phase-1 particles. A
+    NumericError in either phase becomes the step's incident: the entry
+    parameters are restored and the un-adapted action executes.
+    """
     report = StepReport(t=t)
     entry = params.flat()
-    particles, bootstraps = _phase1(params, series, t, forecaster, cfg, normalizer,
-                                    noise_calib, rng_noise, vanilla=False)
-    if particles is not None:
-        v0 = port_value / cfg.value_scale
-        last_noise = None
-        try:
+    stage = "forecast rejected"
+    try:
+        imagined = _phase1(params, series, t, forecaster, cfg, normalizer,
+                           noise_calib, rng_noise)
+        stage = "adaptation aborted"
+        if imagined is not None:
+            states, relatives, bootstraps = imagined
+            rollout = (obs_flat, states, relatives, port_weights,
+                       port_value / cfg.value_scale, bootstraps, fee_rate)
+            noise = None
             for _ in range(cfg.epochs):
-                leaves = make_leaves(params, "actor")
-                last_noise = _draw_action_noise(params, particles[0].relatives.shape[0],
-                                                cfg.particles, rng_action)
-                returns = [
-                    particle_return(leaves, params, obs_flat, part, port_weights, v0,
-                                    bootstraps[i], fee_rate, cfg.discount, last_noise[i],
-                                    particle_index=i)
-                    for i, part in enumerate(particles)
-                ]
-                objective = risk_objective(returns, cfg.risk_lambda, cfg.eps_num)
-                j_vals = np.array([float(r.value) for r in returns])
+                noise = _draw_action_noise(params, relatives.shape[:2], rng_action)
+                objective, returns, downside_var, g = planner_objective(
+                    params, *rollout, cfg.discount, cfg.risk_lambda, cfg.eps_num, noise)
                 if report.objective_before is None:
-                    report.objective_before = float(objective.value)
-                report.mean_return = float(j_vals.mean())
-                report.downside_variance = float(
-                    np.mean(np.minimum(j_vals - j_vals.mean(), 0.0) ** 2)
-                )
-                report.grad_norms.append(_ascend(params, leaves, objective, cfg.step_size))
-            report.objective_after = _objective_value(
-                params, obs_flat, particles, port_weights, v0, bootstraps,
-                fee_rate, cfg, last_noise)
-        except NumericError as exc:
-            params.set_flat(entry)
-            report.incident = f"adaptation aborted: {exc}"
+                    report.objective_before = objective
+                report.mean_return = float(returns.mean())
+                report.downside_variance = downside_var
+                report.grad_norms.append(_ascend(params, g, cfg.step_size))
+            report.objective_after = _objective_value(params, rollout, cfg, noise)
+    except NumericError as exc:
+        params.set_flat(entry)
+        report.incident = f"{stage}: {exc}"
     weights = act(params, obs_flat, mode="deterministic").weights
     report.executed_weights = weights
     if cfg.reset_mode == "reset_each_step":
@@ -277,58 +345,10 @@ def adapt_step_full(params: PolicyParams, obs_flat, port_value, port_weights,
     return weights, report
 
 
-def adapt_step_vanilla(params: PolicyParams, obs_flat, port_value, port_weights,
-                       series, t, forecaster, cfg: MpcConfig, fee_rate,
-                       normalizer=None, noise_calib=None,
-                       rng_action=None, rng_noise=None) -> tuple[np.ndarray, StepReport]:
-    """Single deterministic trajectory, plain mean-return ascent."""
-    report = StepReport(t=t)
-    entry = params.flat()
-    particles, bootstraps = _phase1(params, series, t, forecaster, cfg, normalizer,
-                                    noise_calib, rng_noise, vanilla=True)
-    if particles is not None:
-        v0 = port_value / cfg.value_scale
-        last_noise = None
-        try:
-            for _ in range(cfg.epochs):
-                leaves = make_leaves(params, "actor")
-                last_noise = _draw_action_noise(params, particles[0].relatives.shape[0],
-                                                cfg.particles, rng_action)
-                returns = [
-                    particle_return(leaves, params, obs_flat, part, port_weights, v0,
-                                    bootstraps[i], fee_rate, cfg.discount, last_noise[i],
-                                    particle_index=i)
-                    for i, part in enumerate(particles)
-                ]
-                objective = ad.div(ad.add_n(returns), float(len(returns)))
-                if report.objective_before is None:
-                    report.objective_before = float(objective.value)
-                report.mean_return = float(objective.value)
-                report.grad_norms.append(_ascend(params, leaves, objective, cfg.step_size))
-            report.objective_after = _objective_value(
-                params, obs_flat, particles, port_weights, v0, bootstraps,
-                fee_rate, cfg, last_noise)
-        except NumericError as exc:
-            params.set_flat(entry)
-            report.incident = f"adaptation aborted: {exc}"
-    weights = act(params, obs_flat, mode="deterministic").weights
-    report.executed_weights = weights
-    if cfg.reset_mode == "reset_each_step":
-        params.set_flat(entry)
-    return weights, report
-
-
-def _objective_value(params, obs_flat, particles, prev_weights, v0, bootstraps,
-                     fee_rate, cfg, action_noise) -> float:
-    """Forward-only objective evaluation (reuses the last epoch's draws)."""
-    leaves = make_leaves(params, "actor")
-    noise = action_noise if action_noise is not None else [None] * len(particles)
-    returns = [
-        particle_return(leaves, params, obs_flat, part, prev_weights, v0,
-                        bootstraps[i], fee_rate, cfg.discount, noise[i])
-        for i, part in enumerate(particles)
-    ]
-    return float(risk_objective(returns, cfg.risk_lambda, cfg.eps_num).value)
+def _objective_value(params, rollout, cfg, action_noise) -> float:
+    """Objective after adaptation, on the last epoch's draws; telemetry only."""
+    return planner_objective(params, *rollout, cfg.discount, cfg.risk_lambda,
+                             cfg.eps_num, action_noise)[0]
 
 
 @dataclass
@@ -338,10 +358,6 @@ class PilotResult:
     rewards: np.ndarray
     weights: np.ndarray
     reports: list
-
-    @property
-    def value_curve(self) -> np.ndarray:
-        return self.values
 
 
 def run_pilot(series: MarketSeries, params: PolicyParams, forecaster,
@@ -369,7 +385,6 @@ def run_pilot(series: MarketSeries, params: PolicyParams, forecaster,
 
     start, stop = series.usable_range(split)
     last = stop - 1
-    adapt = adapt_step_vanilla if cfg.variant == "vanilla" else adapt_step_full
     planning = cfg.epochs > 0 and cfg.step_size > 0
 
     state = PortfolioState(env_config.initial_value, all_cash_weights(series.n_assets), start)
@@ -380,7 +395,7 @@ def run_pilot(series: MarketSeries, params: PolicyParams, forecaster,
         for t in range(start, last):
             obs = view.state(t)
             if planning:
-                weights, report = adapt(
+                weights, report = adapt_step(
                     work, obs.flat(), state.value, state.weights, series, t,
                     forecaster, cfg, env_config.fee_rate, normalizer=normalizer,
                     noise_calib=noise_calib, rng_action=rng_action, rng_noise=rng_noise)

@@ -7,7 +7,9 @@ stochastic head adds a state-independent learnable log-std and samples logits
 by reparameterization, so sampled allocations stay differentiable.
 
 Parameters live in plain float64 arrays with a stable flat view used for
-checkpointing; gradients come from the tape in `autodiff`.
+checkpointing. The planner differentiates the batched actor pass through its
+hand-written reverse (`actor_forward`, `actor_backward`); pretraining still
+records its losses on the tape in `autodiff`.
 """
 
 from __future__ import annotations
@@ -128,9 +130,6 @@ class PolicyParams:
     def names(self) -> list:
         return list(self.values)
 
-    def actor_names(self) -> list:
-        return [n for n in self.values if n.startswith("actor.")]
-
     def flat(self) -> np.ndarray:
         return np.concatenate([self.values[n].ravel() for n in self.values])
 
@@ -227,6 +226,50 @@ class Agent:
         return act(self.params, obs, mode=mode, rng=rng)
 
 
+# -- batched actor pass with a hand-written reverse ----------------------------
+
+
+def actor_forward(params: PolicyParams, x: np.ndarray, z: np.ndarray | None = None):
+    """Allocations for a batch of flat observations, one per row of `x`.
+
+    Pass `z` draws, one row per observation, to sample logits by
+    reparameterization. Returns the (rows, N+1) softmax weights and the layer
+    activations that `actor_backward` reuses.
+    """
+    acts = [x]
+    for i in range(len(params.config.hidden)):
+        acts.append(np.tanh(acts[-1] @ params.values[f"actor.w{i}"].T
+                            + params.values[f"actor.b{i}"]))
+    logits = acts[-1] @ params.values["actor.head_w"].T + params.values["actor.head_b"]
+    if z is not None:
+        logits = logits + np.exp(params.values["actor.log_std"]) * z
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True), acts
+
+
+def actor_backward(params: PolicyParams, acts: list, weights: np.ndarray,
+                   g_weights: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+    """Flat gradient of sum(g_weights * weights) through `actor_forward`.
+
+    Aligned with `PolicyParams.flat`; critic entries are exactly 0.
+    """
+    g = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+    grads = {}
+    if z is not None:
+        grads["actor.log_std"] = np.exp(params.values["actor.log_std"]) * np.sum(g * z, axis=0)
+    grads["actor.head_w"] = g.T @ acts[-1]
+    grads["actor.head_b"] = g.sum(axis=0)
+    g = g @ params.values["actor.head_w"]
+    for i in reversed(range(len(params.config.hidden))):
+        g = g * (1.0 - acts[i + 1] ** 2)
+        grads[f"actor.w{i}"] = g.T @ acts[i]
+        grads[f"actor.b{i}"] = g.sum(axis=0)
+        if i:
+            g = g @ params.values[f"actor.w{i}"]
+    return np.concatenate([grads[n].ravel() if n in grads else np.zeros(arr.size)
+                           for n, arr in params.values.items()])
+
+
 # -- taped forward passes -----------------------------------------------------
 
 
@@ -288,10 +331,6 @@ def grad(objective: ad.Node, leaves: dict, params: PolicyParams) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient")
     return g
-
-
-def apply_flat_ascent(params: PolicyParams, grad_flat: np.ndarray, step_size: float) -> None:
-    params.set_flat(params.flat() + step_size * grad_flat)
 
 
 # -- checkpointing -------------------------------------------------------------

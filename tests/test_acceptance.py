@@ -24,8 +24,8 @@ from mpcfolio.harness.config import ExperimentConfig
 from mpcfolio.harness.experiment import run_experiment
 from mpcfolio.marketdata import FeatureView, compute_features
 from mpcfolio.metrics import calmar, max_drawdown, sharpe, sortino, total_return
-from mpcfolio.pilot import MpcConfig, imagined_reward, particle_return, risk_objective, run_pilot
-from mpcfolio.policy import Agent, PolicyConfig, PolicyParams, grad, make_leaves, pretrain
+from mpcfolio.pilot import MpcConfig, imagined_reward, planner_objective, run_pilot
+from mpcfolio.policy import Agent, PolicyConfig, PolicyParams, pretrain
 from oracles import (
     calmar_oracle,
     max_drawdown_oracle,
@@ -65,8 +65,6 @@ def test_c1_oracle_reward_equivalence():
 
 
 def test_c2_gradient_correctness():
-    from mpcfolio.forecast import ParticlePath
-
     rng = np.random.default_rng(202)
     start = time.time()
     worst = 0.0
@@ -77,25 +75,22 @@ def test_c2_gradient_correctness():
                                            init_seed=instance))
         params.set_flat(params.flat() + 0.1 * rng.standard_normal(params.n_params()))
         obs = rng.standard_normal(n * 11)
-        particles = [
-            ParticlePath(states=0.3 * rng.standard_normal((horizon, n, 11)),
-                         relatives=np.exp(0.03 * rng.standard_normal((horizon, n))))
-            for _ in range(k)
-        ]
+        paths = [(0.3 * rng.standard_normal((horizon, n, 11)),
+                  np.exp(0.03 * rng.standard_normal((horizon, n))))
+                 for _ in range(k)]
+        states = np.stack([p[0] for p in paths])
+        relatives = np.stack([p[1] for p in paths])
         prev = softmax_weights(rng.standard_normal(n + 1))
-        boots = [float(rng.standard_normal()) for _ in range(k)]
-        zs = ([rng.standard_normal((horizon, n + 1)) for _ in range(k)]
-              if mode == "stochastic" else [None] * k)
+        boots = np.array([float(rng.standard_normal()) for _ in range(k)])
+        zs = (np.stack([rng.standard_normal((horizon, n + 1)) for _ in range(k)])
+              if mode == "stochastic" else None)
         lam = 2.0 if instance % 3 else 0.0
 
         def objective(p):
-            leaves = make_leaves(p, "actor")
-            rets = [particle_return(leaves, p, obs, particles[j], prev, 1.0,
-                                    boots[j], 0.001, 0.99, zs[j]) for j in range(k)]
-            return risk_objective(rets, lam, 1e-8), leaves
+            return planner_objective(p, obs, states, relatives, prev, 1.0, boots,
+                                     0.001, 0.99, lam, 1e-8, zs)
 
-        node, leaves = objective(params)
-        g = grad(node, leaves, params)
+        g = objective(params)[3]
 
         offset, spans = 0, {}
         for name, arr in params.values.items():
@@ -121,7 +116,7 @@ def test_c2_gradient_correctness():
             pp, pm = params.copy(), params.copy()
             pp.set_flat(fp)
             pm.set_flat(fm)
-            fd = (float(objective(pp)[0].value) - float(objective(pm)[0].value)) / (2 * h)
+            fd = (objective(pp)[0] - objective(pm)[0]) / (2 * h)
             denom = max(abs(fd), abs(g[i]), floor)
             rel_err = abs(fd - g[i]) / denom
             worst = max(worst, rel_err)

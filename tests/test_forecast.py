@@ -348,3 +348,10 @@ class TestExternalSource:
         f.write_text("base_date,asset\n2020-01-01,A\n", encoding="utf-8")
         with pytest.raises(DataError):
             ExternalForecastSource.from_csv(f)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        f = tmp_path / "fc.csv"
+        self._write(f, [("2020-01-02", "A0", 1, 0.5), ("2020-01-02", "A1", 1, cell)])
+        with pytest.raises(DataError, match=r"non-finite predicted_movement in row 3"):
+            ExternalForecastSource.from_csv(f)

@@ -4,7 +4,7 @@ import pytest
 from mpcfolio import autodiff as ad
 from mpcfolio.env import EnvConfig, run_episode, softmax_weights, step
 from mpcfolio.env import PortfolioState, all_cash_weights
-from mpcfolio.errors import ConfigError
+from mpcfolio.errors import ConfigError, NumericError
 from mpcfolio.forecast import (
     ParticlePath,
     PerfectForecaster,
@@ -18,10 +18,10 @@ from mpcfolio.marketdata import FeatureView
 from mpcfolio.pilot import (
     MpcConfig,
     _phase1,
-    adapt_step_full,
-    adapt_step_vanilla,
+    adapt_step,
     imagined_reward,
     particle_return,
+    planner_objective,
     risk_objective,
     run_pilot,
 )
@@ -90,8 +90,6 @@ class TestParticleReturn:
         assert float(node.value) == 0.0
 
     def test_non_finite_rollout_names_particle_and_step(self):
-        from mpcfolio.errors import NumericError
-
         params = _uniform_policy()
         leaves = make_leaves(params, "actor")
         relatives = np.array([[1.1, 1.1], [np.inf, 1.0]])
@@ -143,6 +141,60 @@ class TestRiskObjective:
         assert all(n.grad is not None for n in nodes)
 
 
+def _tape_objective(params, obs, states, relatives, prev, value0, boots, fee, discount,
+                    lam, eps, zs):
+    """Reference: the same objective and gradient built on the scalar tape."""
+    leaves = make_leaves(params, "actor")
+    rets = [particle_return(leaves, params, obs, ParticlePath(states[k], relatives[k]),
+                            prev, value0, boots[k], fee, discount,
+                            None if zs is None else zs[k], particle_index=k)
+            for k in range(len(boots))]
+    node = risk_objective(rets, lam, eps)
+    return float(node.value), np.array([float(r.value) for r in rets]), grad(node, leaves, params)
+
+
+class TestPlannerObjective:
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("horizon", [1, 2, 5])
+    def test_matches_tape_reference(self, rng, mode, horizon):
+        n = 2
+        for k in range(1, 9):
+            for lam in (0.0, 0.5, 2.0):
+                params = PolicyParams(PolicyConfig(n_assets=n, hidden=(8, 6), mode=mode,
+                                                   init_seed=k))
+                params.set_flat(params.flat() + 0.3 * rng.standard_normal(params.n_params()))
+                obs = rng.standard_normal(n * 11)
+                states = 0.5 * rng.standard_normal((k, horizon, n, 11))
+                relatives = np.exp(0.05 * rng.standard_normal((k, horizon, n)))
+                prev = softmax_weights(rng.standard_normal(n + 1))
+                boots = rng.standard_normal(k)
+                zs = rng.standard_normal((k, horizon, n + 1)) if mode == "stochastic" else None
+                fee = float(rng.uniform(0.0, 0.3))
+                value0 = float(rng.uniform(0.5, 2.0))
+                args = (obs, states, relatives, prev, value0, boots, fee, 0.97, lam, 1e-8, zs)
+
+                obj, returns, downside_var, g = planner_objective(params, *args)
+                ref_obj, ref_returns, ref_g = _tape_objective(params, *args)
+                assert abs(obj - ref_obj) <= 1e-12 * abs(ref_obj)
+                assert np.allclose(returns, ref_returns, rtol=1e-12, atol=0.0)
+                down = np.minimum(ref_returns - ref_returns.mean(), 0.0)
+                assert downside_var == pytest.approx(np.mean(down ** 2), rel=1e-9, abs=1e-24)
+                assert np.max(np.abs(g - ref_g)) <= 1e-10 * np.max(np.abs(ref_g))
+                offset = 0
+                for name, arr in params.values.items():
+                    if name.startswith("critic."):
+                        assert np.all(g[offset:offset + arr.size] == 0.0)
+                    offset += arr.size
+
+    def test_non_finite_value_names_particle_and_step(self):
+        params = _uniform_policy()
+        relatives = np.ones((3, 2, 2))
+        relatives[2, 1, 0] = np.inf
+        with pytest.raises(NumericError, match=r"particle 2, step 1"):
+            planner_objective(params, np.zeros(22), np.zeros((3, 2, 2, 11)), relatives,
+                              np.full(3, 1.0 / 3.0), 1.0, np.zeros(3), 0.0, 0.99, 0.5, 1e-8)
+
+
 def _planner_market(seed=5, n=2, length=320, signal=0.004):
     return generate_synthetic(SyntheticMarketSpec(
         n_assets=n, length=length, signal_strength=signal, volatility=0.008,
@@ -180,7 +232,7 @@ class TestAdaptStep:
         cfg = MpcConfig(horizon=5, epochs=10, step_size=0.05, variant="vanilla",
                         value_scale=1e5)
         work = params.copy()
-        weights, report = adapt_step_vanilla(
+        weights, report = adapt_step(
             work, obs.flat(), 1e5, all_cash_weights(2), series, t,
             PerfectForecaster(), cfg, 0.001, normalizer=view.normalizer("test"))
         assert report.incident is None
@@ -212,7 +264,7 @@ class TestAdaptStep:
         cfg = MpcConfig(horizon=2, epochs=2, step_size=1e308, variant="vanilla")
         work = params.copy()
         entry = work.flat()
-        weights, report = adapt_step_vanilla(
+        weights, report = adapt_step(
             work, obs.flat(), 1e5, all_cash_weights(2), series, t,
             PerfectForecaster(), cfg, 0.001, normalizer=view.normalizer("test"))
         assert report.incident is not None
@@ -230,7 +282,7 @@ class TestAdaptStep:
         work = params.copy()
         entry = work.flat()
         baseline_w = act(params, obs, mode="deterministic").weights
-        weights, _ = adapt_step_vanilla(
+        weights, _ = adapt_step(
             work, obs.flat(), 1e5, all_cash_weights(2), series, t,
             PerfectForecaster(), cfg, 0.001, normalizer=view.normalizer("test"))
         assert np.array_equal(work.flat(), entry)  # restored after execution
@@ -252,14 +304,29 @@ class TestPhase1:
             params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,),
                                                init_seed=seed_params))
             rng_noise = np.random.default_rng(7)
-            particles, boots = _phase1(params, series, t, ZeroForecaster(), cfg,
-                                       norm, calib, rng_noise, vanilla=False)
-            out[seed_params] = (particles, boots)
-        a, b = out[0][0], out[99][0]
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.states, pb.states)
-            assert np.array_equal(pa.relatives, pb.relatives)
-        assert out[0][1] != out[99][1]  # bootstraps do depend on the critic
+            out[seed_params] = _phase1(params, series, t, ZeroForecaster(), cfg,
+                                       norm, calib, rng_noise)
+        (states_a, rel_a, boots_a), (states_b, rel_b, boots_b) = out[0], out[99]
+        assert states_a.shape == (4, 3, 2, 11) and rel_a.shape == (4, 3, 2)
+        assert np.array_equal(states_a, states_b)
+        assert np.array_equal(rel_a, rel_b)
+        assert not np.array_equal(boots_a, boots_b)  # bootstraps do depend on the critic
+
+    def test_sigma_zero_stacks_the_unperturbed_path(self, two_asset_market):
+        series = two_asset_market
+        view = FeatureView(series)
+        norm = view.normalizer("test")
+        t = series.usable_range("test")[0]
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=0))
+        cfg = MpcConfig(horizon=3, variant="vanilla")
+        rng_noise = np.random.default_rng(7)
+        states, relatives, boots = _phase1(params, series, t, PerfectForecaster(), cfg,
+                                           norm, None, rng_noise)
+        traj = build_trajectory(PerfectForecaster(), series, t, 3, normalizer=norm)
+        assert np.array_equal(states[0], traj.states)
+        assert np.array_equal(relatives[0], traj.relatives)
+        assert boots.shape == (1,)
+        assert rng_noise.standard_normal() == np.random.default_rng(7).standard_normal()
 
     def test_noise_drawn_once_per_step(self, two_asset_market):
         series = two_asset_market
@@ -274,7 +341,7 @@ class TestPhase1:
                             step_size=1e-4, variant="noise_only", value_scale=1e5)
             rng_noise = np.random.default_rng(11)
             work = params.copy()
-            adapt_step_full(work, view.state(t).flat(), 1e5, all_cash_weights(2),
+            adapt_step(work, view.state(t).flat(), 1e5, all_cash_weights(2),
                             series, t, ZeroForecaster(), cfg, 0.001,
                             normalizer=norm, noise_calib=calib,
                             rng_action=np.random.default_rng(0), rng_noise=rng_noise)
@@ -391,6 +458,32 @@ class TestRunPilot:
         assert {"t", "objective_before", "grad_norms", "executed_weights",
                 "realized_reward"} <= set(first)
 
+    def test_nan_forecast_is_one_incident(self, two_asset_market):
+        series = two_asset_market
+        start, stop = series.usable_range("test")
+        t_bad = (start + stop) // 2
+
+        class NaNAtOneDate(PerfectForecaster):
+            def predict_movements(self, series, t, horizon):
+                out = super().predict_movements(series, t, horizon)
+                if t == t_bad:
+                    out[0, 0] = np.nan
+                return out
+
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=1))
+        cfg = MpcConfig(horizon=3, epochs=1, step_size=0.05, variant="vanilla",
+                        value_scale=1e5)
+        res = run_pilot(series, params, NaNAtOneDate(), cfg,
+                        env_config=EnvConfig(n_assets=2), seed=0,
+                        view=FeatureView(series))
+        incidents = [(r.t, r.incident) for r in res.reports if r.incident is not None]
+        assert len(res.reports) == stop - 1 - start
+        assert len(incidents) == 1
+        assert incidents[0][0] == t_bad
+        assert incidents[0][1].startswith("forecast rejected: ")
+        assert str(series.dates[t_bad]) in incidents[0][1]
+        assert np.all(np.isfinite(res.values))
+
     def test_noise_requires_calibration(self, two_asset_market):
         params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,)))
         cfg = MpcConfig(horizon=2, particles=2, noise_sigma=0.5, variant="noise_only")
@@ -431,22 +524,20 @@ class TestGradientCheck:
         particles = perturb(traj, calib, 0.3, 3, np.random.default_rng(1))
         obs = view.state(t).flat()
         prev = np.array([0.4, 0.35, 0.25])
-        boots = [0.05, -0.1, 0.2]
-        zs = [rng.standard_normal((3, 3)) for _ in range(3)]
+        boots = np.array([0.05, -0.1, 0.2])
+        zs = np.stack([rng.standard_normal((3, 3)) for _ in range(3)])
+        states = np.stack([p.states for p in particles])
+        relatives = np.stack([p.relatives for p in particles])
 
         params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8, 8),
                                            mode="stochastic", init_seed=12))
         params.set_flat(params.flat() + 0.05 * rng.standard_normal(params.n_params()))
 
         def objective(p):
-            leaves = make_leaves(p, "actor")
-            rets = [particle_return(leaves, p, obs, particles[k], prev, 1.0,
-                                    boots[k], 0.001, 0.99, zs[k])
-                    for k in range(3)]
-            return risk_objective(rets, 2.0, 1e-8), leaves
+            return planner_objective(p, obs, states, relatives, prev, 1.0, boots,
+                                     0.001, 0.99, 2.0, 1e-8, zs)
 
-        node, leaves = objective(params)
-        g = grad(node, leaves, params)
+        g = objective(params)[3]
         flat0 = params.flat()
         names, offset, spans = list(params.values), 0, {}
         for n in names:
@@ -466,6 +557,6 @@ class TestGradientCheck:
             pp, pm = params.copy(), params.copy()
             pp.set_flat(fp)
             pm.set_flat(fm)
-            fd = (float(objective(pp)[0].value) - float(objective(pm)[0].value)) / (2 * h)
+            fd = (objective(pp)[0] - objective(pm)[0]) / (2 * h)
             denom = max(abs(fd), abs(g[i]), 1e-8)
             assert abs(fd - g[i]) / denom < 1e-4
