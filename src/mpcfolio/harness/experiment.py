@@ -4,8 +4,10 @@ A sweep is a grid over seeds x variant x horizon x target-R2. Shared inputs
 (the market, normalizers, pretrained policies, fitted forecasters, blend
 calibrations) are built sequentially up front; grid cells are then pure jobs
 over read-only state, executed by a bounded thread pool whose size cannot
-change any output byte. Everything lands in one results.json from which the
-table and the SVG plot can be regenerated without recomputation.
+change any output byte. The cells' trading steps take turns (`run_pilot`), so
+the pool interleaves cells rather than computing two at once. Everything
+lands in one results.json from which the table and the SVG plot can be
+regenerated without recomputation.
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ compare against.
 from __future__ import annotations
 
 import json
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,16 @@ from .policy import PolicyParams, act, actor_backward, actor_forward, actor_weig
 
 VARIANTS = ("vanilla", "noise_only", "noise_lambda")
 RESET_MODES = ("persist", "reset_each_step")
+
+# Concurrent `run_pilot` calls in one process, such as a sweep's worker
+# threads, take turns one trading step at a time. A step's NumPy calls give
+# up the interpreter lock dozens of times over arrays too small to gain from
+# it; two threads trading the lock at each of those points left the CPUs
+# idle while the other thread woke, so a two-thread sweep ran slower than one
+# thread and its speed swung with the host's scheduling latency. The turn
+# spans the whole loop body, so the thread that holds it usually takes its
+# next step before a waiting thread wakes, rather than handing over per step.
+_STEP_TURN = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -232,13 +244,27 @@ def planner_objective(params: PolicyParams, obs_flat, states, relatives, prev_we
 
     states (K, H, N, 11) and relatives (K, H, N) come from phase 1; step 0 acts
     on the real observation and step h on states[:, h-1]. action_noise is
-    (K, H, N+1) for a stochastic policy, else None. Because the weights never
-    move prices, each step's drifted weights, turnover t_h and growth factor
-    c_h = (1 - fee * t_h)(1 + rho_h) are array ops over (K, H), and the value
-    path is value0 * cumprod(c). The reverse pass is written out by hand.
+    (K, H, N+1) for a stochastic policy, else None.
 
     Returns (objective, per-particle returns (K,), downside variance, flat
     gradient aligned with `PolicyParams.flat`, critic entries 0).
+    """
+    objective, returns, downside_var, grads = _planner_pass(
+        params, obs_flat, states, relatives, prev_weights, value0, bootstraps, fee_rate,
+        discount, risk_lambda, eps_num, action_noise)
+    return objective, returns, downside_var, params.flat_from(grads)
+
+
+def _planner_pass(params: PolicyParams, obs_flat, states, relatives, prev_weights,
+                  value0: float, bootstraps, fee_rate: float, discount: float,
+                  risk_lambda: float, eps_num: float, action_noise=None, with_grad=True):
+    """`planner_objective` with the gradient kept per actor array, or skipped.
+
+    Because the weights never move prices, each step's drifted weights,
+    turnover t_h and growth factor c_h = (1 - fee * t_h)(1 + rho_h) are array
+    ops over (K, H), and the value path is value0 * cumprod(c). The reverse
+    pass is written out by hand. The gradient is a dict from actor parameter
+    name to array (`actor_backward`), or None when with_grad is False.
     """
     k, horizon, n = relatives.shape
     x = np.concatenate([np.broadcast_to(obs_flat, (k, 1, obs_flat.size)),
@@ -269,6 +295,8 @@ def planner_objective(params: PolicyParams, obs_flat, states, relatives, prev_we
     downside_var = float(np.mean(down ** 2))
     spread = np.sqrt(downside_var + eps_num)
     objective = float(mean - risk_lambda * spread)
+    if not with_grad:
+        return objective, returns, downside_var, None
 
     # J = -V_0 + sum_m coef_m V_m + gamma^H B, so dJ/dc_h = V_h T_h with
     # T_{H-1} = coef_H and T_h = coef_{h+1} + c_{h+1} T_{h+1}; dividing a
@@ -287,20 +315,29 @@ def planner_objective(params: PolicyParams, obs_flat, states, relatives, prev_we
     g_prev = -g_turnover[:, 1:]
     g_u = (g_prev - (g_prev * prev[:, 1:]).sum(axis=2, keepdims=True)) / drift_sum
     g_w[:, :-1] += g_u * rel_full[:, :-1]
-    g = actor_backward(params, acts, w_rows, g_w.reshape(k * horizon, n + 1), z)
-    return objective, returns, downside_var, g
+    grads = actor_backward(params, acts, w_rows, g_w.reshape(k * horizon, n + 1), z)
+    return objective, returns, downside_var, grads
 
 
-def _ascend(params, g, step_size):
-    """One gradient-ascent update; returns the gradient norm."""
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient")
+def _ascend(params, grads: dict, step_size):
+    """One gradient-ascent update of the arrays in `grads`; returns the gradient norm.
+
+    Only those arrays are replaced, so a step touches the actor alone and
+    never the whole flat vector. A gradient whose norm overflows counts as
+    non-finite. The norm is a plain sum, not a BLAS dot, which goes
+    multithreaded on long vectors and leaves a spinning thread behind.
+    """
+    updated = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = params.flat() + step_size * g
-    if not np.all(np.isfinite(flat)):
-        raise NumericError("non-finite parameters after update")
-    params.set_flat(flat)
-    return float(np.linalg.norm(g))
+        sq = sum(float(np.sum(g * g)) for g in grads.values())
+        if not np.isfinite(sq):
+            raise NumericError("non-finite gradient")
+        for name, g in grads.items():
+            updated[name] = params.values[name] + step_size * g
+            if not np.all(np.isfinite(updated[name])):
+                raise NumericError("non-finite parameters after update")
+    params.values.update(updated)
+    return math.sqrt(sq)
 
 
 def adapt_step(params: PolicyParams, obs_flat, port_value, port_weights,
@@ -314,7 +351,7 @@ def adapt_step(params: PolicyParams, obs_flat, port_value, port_weights,
     parameters are restored and the un-adapted action executes.
     """
     report = StepReport(t=t)
-    entry = params.flat()
+    entry = dict(params.values)
     stage = "forecast rejected"
     try:
         imagined = _phase1(params, series, t, forecaster, cfg, normalizer,
@@ -327,28 +364,28 @@ def adapt_step(params: PolicyParams, obs_flat, port_value, port_weights,
             noise = None
             for _ in range(cfg.epochs):
                 noise = _draw_action_noise(params, relatives.shape[:2], rng_action)
-                objective, returns, downside_var, g = planner_objective(
+                objective, returns, downside_var, grads = _planner_pass(
                     params, *rollout, cfg.discount, cfg.risk_lambda, cfg.eps_num, noise)
                 if report.objective_before is None:
                     report.objective_before = objective
                 report.mean_return = float(returns.mean())
                 report.downside_variance = downside_var
-                report.grad_norms.append(_ascend(params, g, cfg.step_size))
+                report.grad_norms.append(_ascend(params, grads, cfg.step_size))
             report.objective_after = _objective_value(params, rollout, cfg, noise)
     except NumericError as exc:
-        params.set_flat(entry)
+        params.values = dict(entry)
         report.incident = f"{stage}: {exc}"
     weights = act(params, obs_flat, mode="deterministic").weights
     report.executed_weights = weights
     if cfg.reset_mode == "reset_each_step":
-        params.set_flat(entry)
+        params.values = dict(entry)
     return weights, report
 
 
 def _objective_value(params, rollout, cfg, action_noise) -> float:
     """Objective after adaptation, on the last epoch's draws; telemetry only."""
-    return planner_objective(params, *rollout, cfg.discount, cfg.risk_lambda,
-                             cfg.eps_num, action_noise)[0]
+    return _planner_pass(params, *rollout, cfg.discount, cfg.risk_lambda, cfg.eps_num,
+                         action_noise, with_grad=False)[0]
 
 
 @dataclass
@@ -393,23 +430,24 @@ def run_pilot(series: MarketSeries, params: PolicyParams, forecaster,
     stream = open(report_path, "w", encoding="utf-8") if report_path else None
     try:
         for t in range(start, last):
-            obs = view.state(t)
-            if planning:
-                weights, report = adapt_step(
-                    work, obs.flat(), state.value, state.weights, series, t,
-                    forecaster, cfg, env_config.fee_rate, normalizer=normalizer,
-                    noise_calib=noise_calib, rng_action=rng_action, rng_noise=rng_noise)
-            else:
-                weights = act(work, obs, mode="deterministic").weights
-                report = StepReport(t=t, executed_weights=weights)
-            state, reward = step(state, weights, series.relatives(t), env_config.fee_rate)
-            report.realized_reward = reward
-            values.append(state.value)
-            rewards.append(reward)
-            targets.append(weights)
-            reports.append(report)
-            if stream is not None:
-                stream.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+            with _STEP_TURN:
+                obs = view.state(t)
+                if planning:
+                    weights, report = adapt_step(
+                        work, obs.flat(), state.value, state.weights, series, t,
+                        forecaster, cfg, env_config.fee_rate, normalizer=normalizer,
+                        noise_calib=noise_calib, rng_action=rng_action, rng_noise=rng_noise)
+                else:
+                    weights = act(work, obs, mode="deterministic").weights
+                    report = StepReport(t=t, executed_weights=weights)
+                state, reward = step(state, weights, series.relatives(t), env_config.fee_rate)
+                report.realized_reward = reward
+                values.append(state.value)
+                rewards.append(reward)
+                targets.append(weights)
+                reports.append(report)
+                if stream is not None:
+                    stream.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     finally:
         if stream is not None:
             stream.close()

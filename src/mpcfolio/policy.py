@@ -84,7 +84,11 @@ def _orthogonal(rng, rows: int, cols: int, gain: float) -> np.ndarray:
 
 
 class PolicyParams:
-    """Named float64 arrays with a stable flat view; architecture is fixed."""
+    """Named float64 arrays with a stable flat view; architecture is fixed.
+
+    Updates replace arrays and never write into them, so a shallow copy of
+    `values` is a snapshot that can be put back.
+    """
 
     TRUNK_GAIN = 1.0
     HEAD_GAIN = 0.01
@@ -143,6 +147,11 @@ class PolicyParams:
             block = flat[offset : offset + arr.size]
             self.values[name] = block.reshape(arr.shape).copy()
             offset += arr.size
+
+    def flat_from(self, arrays: dict) -> np.ndarray:
+        """Flat vector aligned with `flat`: `arrays[name]` where given, zeros elsewhere."""
+        return np.concatenate([arrays[n].ravel() if n in arrays else np.zeros(arr.size)
+                               for n, arr in self.values.items()])
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.config, values=self.values)
@@ -248,10 +257,10 @@ def actor_forward(params: PolicyParams, x: np.ndarray, z: np.ndarray | None = No
 
 
 def actor_backward(params: PolicyParams, acts: list, weights: np.ndarray,
-                   g_weights: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-    """Flat gradient of sum(g_weights * weights) through `actor_forward`.
+                   g_weights: np.ndarray, z: np.ndarray | None = None) -> dict:
+    """Gradient of sum(g_weights * weights) through `actor_forward`.
 
-    Aligned with `PolicyParams.flat`; critic entries are exactly 0.
+    One array per actor parameter, keyed by name; the critic gets no entry.
     """
     g = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
     grads = {}
@@ -266,8 +275,7 @@ def actor_backward(params: PolicyParams, acts: list, weights: np.ndarray,
         grads[f"actor.b{i}"] = g.sum(axis=0)
         if i:
             g = g @ params.values[f"actor.w{i}"]
-    return np.concatenate([grads[n].ravel() if n in grads else np.zeros(arr.size)
-                           for n, arr in params.values.items()])
+    return grads
 
 
 # -- taped forward passes -----------------------------------------------------

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
 from mpcfolio.marketdata import FeatureView
 from mpcfolio.pilot import (
     MpcConfig,
+    _ascend,
     _phase1,
+    _planner_pass,
     adapt_step,
     imagined_reward,
     particle_return,
@@ -193,6 +198,60 @@ class TestPlannerObjective:
         with pytest.raises(NumericError, match=r"particle 2, step 1"):
             planner_objective(params, np.zeros(22), np.zeros((3, 2, 2, 11)), relatives,
                               np.full(3, 1.0 / 3.0), 1.0, np.zeros(3), 0.0, 0.99, 0.5, 1e-8)
+
+    def test_objective_only_pass_scores_the_same(self, rng):
+        # the objective_after telemetry skips the reverse pass
+        k, horizon, n = 4, 3, 2
+        params = PolicyParams(PolicyConfig(n_assets=n, hidden=(8, 6), mode="stochastic",
+                                           init_seed=7))
+        args = (rng.standard_normal(n * 11), 0.5 * rng.standard_normal((k, horizon, n, 11)),
+                np.exp(0.05 * rng.standard_normal((k, horizon, n))),
+                softmax_weights(rng.standard_normal(n + 1)), 1.3, rng.standard_normal(k),
+                0.01, 0.97, 0.5, 1e-8, rng.standard_normal((k, horizon, n + 1)))
+        obj, returns, downside_var, g = planner_objective(params, *args)
+        obj_only, returns_only, downside_only, none = _planner_pass(params, *args,
+                                                                    with_grad=False)
+        assert (obj_only, downside_only, none) == (obj, downside_var, None)
+        assert np.array_equal(returns_only, returns)
+
+
+class TestAscend:
+    def _params(self):
+        return PolicyParams(PolicyConfig(n_assets=2, hidden=(8, 6), mode="stochastic",
+                                         init_seed=3))
+
+    def test_replaces_only_the_named_arrays(self, rng):
+        params = self._params()
+        before = dict(params.values)
+        grads = {n: rng.standard_normal(a.shape) for n, a in before.items()
+                 if n.startswith("actor.")}
+        norm = _ascend(params, grads, 0.1)
+        assert norm == pytest.approx(np.linalg.norm(params.flat_from(grads)), rel=1e-12)
+        for name, arr in before.items():
+            if name in grads:
+                assert np.array_equal(params.values[name], arr + 0.1 * grads[name])
+            else:
+                assert params.values[name] is arr
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_gradient_changes_nothing(self, bad):
+        # 1e200 is finite, but its square overflows the norm
+        params = self._params()
+        before = dict(params.values)
+        grads = {n: np.zeros(a.shape) for n, a in before.items() if n.startswith("actor.")}
+        grads["actor.head_b"][1] = bad
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            _ascend(params, grads, 0.1)
+        assert all(params.values[n] is a for n, a in before.items())
+
+    def test_overflowing_update_changes_nothing(self):
+        params = self._params()
+        before = dict(params.values)
+        grads = {n: np.full(a.shape, 10.0) for n, a in before.items()
+                 if n.startswith("actor.")}
+        with pytest.raises(NumericError, match="non-finite parameters after update"):
+            _ascend(params, grads, 1e308)
+        assert all(params.values[n] is a for n, a in before.items())
 
 
 def _planner_market(seed=5, n=2, length=320, signal=0.004):
@@ -415,6 +474,36 @@ class TestRunPilot:
         b = run_pilot(series, params, ZeroForecaster(), cfg, **kwargs)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_concurrent_runs_match_serial(self):
+        # more threads than cores, sharing one view, with a short switch interval
+        series = _planner_market(seed=17, length=300)
+        view = FeatureView(series)
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), mode="stochastic",
+                                           init_seed=4))
+        cfg = MpcConfig(horizon=3, epochs=2, step_size=0.01, value_scale=1e5)
+        kwargs = dict(env_config=EnvConfig(n_assets=2), view=view)
+        serial = [run_pilot(series, params, PerfectForecaster(), cfg, seed=s, **kwargs)
+                  for s in range(4)]
+        results = [None] * 4
+
+        def run(s):
+            results[s] = run_pilot(series, params, PerfectForecaster(), cfg, seed=s, **kwargs)
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.weights, want.weights)
 
     def test_caller_params_never_mutated(self, two_asset_market):
         series = two_asset_market

@@ -188,6 +188,16 @@ class TestCheckpoint:
         params.set_flat(flat)
         assert np.array_equal(params.flat(), flat)
 
+    def test_flat_from_fills_missing_arrays_with_zeros(self):
+        params = small_params(mode="stochastic")
+        assert np.array_equal(params.flat_from(params.values), params.flat())
+        actor = {n: a for n, a in params.values.items() if n.startswith("actor.")}
+        flat, offset = params.flat_from(actor), 0
+        for name, arr in params.values.items():
+            block = flat[offset:offset + arr.size]
+            assert np.array_equal(block, arr.ravel() if name in actor else np.zeros(arr.size))
+            offset += arr.size
+
 
 def _rising_market(seed=0, n=1):
     rng = np.random.default_rng(seed)
