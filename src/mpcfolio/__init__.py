@@ -24,7 +24,6 @@ from .marketdata import (
     MarketSeries,
     Normalizer,
     StateFeatures,
-    apply_normalizer,
     compute_features,
     fit_normalizer,
     load_csv,

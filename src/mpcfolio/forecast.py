@@ -34,11 +34,11 @@ from .errors import (
 )
 from .marketdata import (
     WARMUP_DAYS,
+    FeatureView,
     MarketSeries,
     Normalizer,
     compute_features,
-    features_from_closes,
-    fit_normalizer,
+    feature_range_from_closes,
 )
 
 DEFAULT_CONTEXT_WINDOW = 30
@@ -143,20 +143,23 @@ def fit_ridge(series: MarketSeries, horizon: int, asset: int, lambda_reg: float,
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if target not in ("return", "movement"):
         raise ConfigError(f"target must be 'return' or 'movement', got {target!r}")
+    view = FeatureView(series, None if normalizer is None else {split: normalizer})
+    return _fit_ridge_rows(series, view.split_states(split), split, horizon, asset,
+                           lambda_reg, target)
+
+
+def _fit_ridge_rows(series: MarketSeries, features: np.ndarray, split: str, horizon: int,
+                    asset: int, lambda_reg: float, target: str = "return") -> RidgeModel:
+    """`fit_ridge` on the split's normalized feature rows, computed once by the caller."""
     start, stop = series.usable_range(split)
-    ts = range(start, stop - horizon)
-    normalizer = normalizer or fit_normalizer(series, split)
-    rows, targets = [], []
-    for t in ts:
-        rows.append(normalizer.apply(compute_features(series, t))[asset])
-        move = series.close[t + horizon, asset] - series.close[t + horizon - 1, asset]
-        if target == "return":
-            targets.append(move / series.close[t + horizon - 1, asset])
-        else:
-            targets.append(move)
-    if len(rows) < 50:
-        raise DataError(f"need >= 50 training rows, have {len(rows)}")
-    return ridge_solve(np.asarray(rows), np.asarray(targets), lambda_reg)
+    n_rows = stop - horizon - start
+    if n_rows < 50:
+        raise DataError(f"need >= 50 training rows, have {max(n_rows, 0)}")
+    close = series.close[start + horizon - 1 : stop, asset]
+    targets = close[1:] - close[:-1]
+    if target == "return":
+        targets = targets / close[:-1]
+    return ridge_solve(features[:n_rows, asset], targets, lambda_reg)
 
 
 class RidgeForecaster:
@@ -165,24 +168,31 @@ class RidgeForecaster:
     Models regress one-day returns; predicted movements are composed along
     the implied price path. Inputs are normalized with the statistics of the
     split the models were fitted on, so predictions made later never mix in
-    newer statistics.
+    newer statistics. The models' coefficients are also held stacked, as
+    (H, N, 1, 11) and intercepts (H, N), so one matmul scores every model.
     """
 
     def __init__(self, models: dict, horizon: int, normalizer: Normalizer):
         self.models = models
         self.horizon = horizon
         self.normalizer = normalizer
+        n_assets = len(models) // horizon
+        hs, assets = range(1, horizon + 1), range(n_assets)
+        self._coef = np.array([[models[(i, h)].coef for i in assets] for h in hs])[:, :, None]
+        self._intercept = np.array([[models[(i, h)].intercept for i in assets] for h in hs])
 
     @classmethod
     def fit(cls, series: MarketSeries, horizon: int, lambda_reg: float = 1.0,
             split: str = "train") -> "RidgeForecaster":
-        normalizer = fit_normalizer(series, split)
+        if horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {horizon}")
+        view = FeatureView(series)
+        features = view.split_states(split)
         models = {}
         for h in range(1, horizon + 1):
             for i in range(series.n_assets):
-                models[(i, h)] = fit_ridge(series, h, i, lambda_reg,
-                                           normalizer=normalizer, split=split)
-        return cls(models, horizon, normalizer)
+                models[(i, h)] = _fit_ridge_rows(series, features, split, h, i, lambda_reg)
+        return cls(models, horizon, view.normalizer(split))
 
     def available_horizon(self, series, t) -> int:
         return self.horizon
@@ -191,12 +201,13 @@ class RidgeForecaster:
         if horizon > self.horizon:
             raise CoverageError(f"fitted for horizon {self.horizon}, asked for {horizon}")
         feats = self.normalizer.apply(compute_features(series, t))
+        # matmul takes the same dot per model as RidgeModel.predict, bit for bit
+        rets = self._intercept[:horizon] + np.matmul(self._coef[:horizon],
+                                                     feats[:, :, None])[:, :, 0, 0]
         out = np.empty((horizon, series.n_assets))
         price = series.close[t].copy()
         for h in range(1, horizon + 1):
-            rets = np.array([self.models[(i, h)].predict(feats[i])
-                             for i in range(series.n_assets)])
-            move = price * rets
+            move = price * rets[h - 1]
             out[h - 1] = move
             price = np.maximum(price + move, PRICE_FLOOR_FRAC * series.close[t])
         return out
@@ -464,10 +475,9 @@ def build_trajectory(source, series: MarketSeries, t: int, horizon: int,
     relatives = prices / prev
 
     spliced = np.vstack([series.close[t - WARMUP_DAYS + 1 : t + 1], prices])
-    states = np.empty((horizon, series.n_assets, 11))
-    for h in range(1, horizon + 1):
-        raw = features_from_closes(spliced, WARMUP_DAYS - 1 + h)
-        states[h - 1] = normalizer.apply(raw) if normalizer is not None else raw
+    states = feature_range_from_closes(spliced, WARMUP_DAYS, WARMUP_DAYS + horizon)
+    if normalizer is not None:
+        states = normalizer.apply(states)
     return ForecastTrajectory(base_t=t, horizon=horizon, prices=prices,
                               relatives=relatives, states=states, normalizer=normalizer)
 

@@ -1,10 +1,11 @@
 """Experiment engine: pretrain, baseline vs adapted runs, sweeps, artifacts.
 
 A sweep is a grid over seeds x variant x horizon x target-R2. Shared inputs
-(the market, normalizers, pretrained policies, fitted forecasters, blend
-calibrations) are built sequentially up front; grid cells are then pure jobs
-over read-only state, executed by a bounded thread pool whose size cannot
-change any output byte. The cells' trading steps take turns (`run_pilot`), so
+(the market, normalizers, fitted forecasters, blend calibrations, pretrained
+policies) are built sequentially up front. An external forecast file that
+lacks a cell the run would read fails the run as soon as it is loaded, before
+any pretraining. Grid cells are then pure jobs over read-only state, executed
+by a bounded thread pool whose size cannot change any output byte. The cells' trading steps take turns (`run_pilot`), so
 the pool interleaves cells rather than computing two at once. Everything
 lands in one results.json from which the table and the SVG plot can be
 regenerated without recomputation.
@@ -42,6 +43,7 @@ RESULTS_SCHEMA_VERSION = 1
 RESULTS_FILE = "results.json"
 TABLE_FILE = "table.txt"
 CURVES_FILE = "curves.svg"
+RUN_SPLIT = "test"
 
 
 def build_series(config: ExperimentConfig):
@@ -70,6 +72,15 @@ def build_base_forecaster(config: ExperimentConfig, series, horizon: int):
     if kind == "external":
         return ExternalForecastSource.from_csv(fc["path"])
     raise ConfigError(f"unknown forecast kind {kind!r}")
+
+
+def _check_coverage(source, series, horizon: int) -> None:
+    """Fail before any pretraining or cell when an external forecast file lacks a
+    cell the run would read: every planned base date of the run split, at
+    horizons 1..H."""
+    if isinstance(source, ExternalForecastSource):
+        start, stop = series.usable_range(RUN_SPLIT)
+        source.validate_coverage(series, range(start, stop - 1), horizon)
 
 
 def _pretrain_cache_key(config: ExperimentConfig, seed: int) -> str:
@@ -148,27 +159,13 @@ def run_experiment(config: ExperimentConfig, out_dir, use_sweep: bool = True) ->
     series = build_series(config)
     view = FeatureView(series)
     view.normalizer("train")
-    view.normalizer("test")
+    view.normalizer(RUN_SPLIT)
     env_config = config.env_config(series.n_assets)
     variants, horizons, r2s = _axes(config, use_sweep)
     seeds = list(config.raw["seeds"])
 
-    policies = {
-        seed: pretrained_policy(config, series, seed, cache_dir=out_dir / "cache", view=view)
-        for seed in seeds
-    }
-
-    baselines = []
-    for seed in seeds:
-        episode = run_episode(series, Agent(policies[seed]), mode="deterministic",
-                              split="test", env_config=env_config, view=view)
-        baselines.append({
-            "seed": seed,
-            "metrics": compute_report(episode.values).to_dict(),
-            "values": [float(v) for v in episode.values],
-        })
-
     base_forecasters = {h: build_base_forecaster(config, series, h) for h in set(horizons)}
+    _check_coverage(base_forecasters[max(horizons)], series, max(horizons))
     forecasters, calibrations = {}, []
     for h in sorted(set(horizons)):
         for r2 in r2s:
@@ -182,6 +179,21 @@ def run_experiment(config: ExperimentConfig, out_dir, use_sweep: bool = True) ->
             )
             forecasters[(h, r2)] = cheat
             calibrations.append({"horizon": h, "r2": r2, **cheat.calibration.to_dict()})
+
+    policies = {
+        seed: pretrained_policy(config, series, seed, cache_dir=out_dir / "cache", view=view)
+        for seed in seeds
+    }
+
+    baselines = []
+    for seed in seeds:
+        episode = run_episode(series, Agent(policies[seed]), mode="deterministic",
+                              split=RUN_SPLIT, env_config=env_config, view=view)
+        baselines.append({
+            "seed": seed,
+            "metrics": compute_report(episode.values).to_dict(),
+            "values": [float(v) for v in episode.values],
+        })
 
     noise_calibs = {}
     for variant in variants:
@@ -214,7 +226,7 @@ def run_experiment(config: ExperimentConfig, out_dir, use_sweep: bool = True) ->
                 )
             result = run_pilot(
                 series, policies[job["seed"]], forecasters[(job["horizon"], job["r2"])],
-                cfg, env_config=env_config, split="test", seed=job["seed"],
+                cfg, env_config=env_config, split=RUN_SPLIT, seed=job["seed"],
                 noise_calib=noise_calibs.get(job["horizon"]), view=view,
                 report_path=stream)
             cell["metrics"] = compute_report(result.values).to_dict()

@@ -5,6 +5,12 @@ adjusted-close series: four intraday ratios, the one-day close return, and six
 trailing moving-average ratios (windows 5..30 including the current day).
 Features become usable 30 trading days after the series start; earlier days are
 treated as warm-up and excluded from every split's usable range.
+
+One kernel featurises a range of days at once over sliding 30-day windows; the
+single-day, close-only and range forms all call it, and every form gives the
+same bytes as featurising each day on its own. `FeatureView` featurises each
+split once and serves each day's normalised state as a row of that split's
+read-only tensor.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DegenerateFeatureError, FeatureError
 
@@ -166,43 +173,55 @@ class StateFeatures:
         return self.values.ravel()
 
 
+def _window_features(close: np.ndarray, t0: int, t1: int, intraday=()) -> np.ndarray:
+    """Raw features (t1 - t0, N, 11) of days t0..t1-1 from a (T, N) close array.
+
+    `intraday` holds the open, high, low and adjusted-close arrays; without
+    them the bars are flat and those four ratios are zero. Each windowed mean
+    sums the same closes in the same order as `close[t-k+1:t+1].mean(axis=0)`.
+    """
+    if t0 < WARMUP_DAYS:
+        raise FeatureError(f"need t >= {WARMUP_DAYS} for the 30-day window, got t={t0}")
+    if t1 > len(close) or t1 <= t0:
+        raise FeatureError(f"day range {t0}..{t1 - 1} outside 0..{len(close) - 1}")
+    close_t = close[t0:t1]
+    out = np.zeros((t1 - t0, close.shape[1], N_FEATURES), dtype=np.float64)
+    for j, price in enumerate(intraday):
+        out[:, :, j] = price[t0:t1] / close_t - 1.0
+    out[:, :, 4] = close_t / close[t0 - 1 : t1 - 1] - 1.0
+    windows = sliding_window_view(close[t0 - WARMUP_DAYS + 1 : t1], WARMUP_DAYS, axis=0)
+    for j, k in enumerate(MA_WINDOWS):
+        out[:, :, 5 + j] = windows[:, :, WARMUP_DAYS - k :].mean(axis=-1) / close_t - 1.0
+    return out
+
+
+def compute_feature_range(series: MarketSeries, t0: int, t1: int) -> np.ndarray:
+    """Raw feature tensor (t1 - t0, N, 11) for the day indices t0..t1-1."""
+    return _window_features(series.close, t0, t1,
+                            (series.open, series.high, series.low, series.adj_close))
+
+
 def compute_features(series: MarketSeries, t: int) -> np.ndarray:
     """Raw (pre-normalization) feature matrix (N, 11) at day index t.
 
     Requires t >= 30 so the longest moving-average window and the one-day
     return are fully inside the series.
     """
-    if t < WARMUP_DAYS:
-        raise FeatureError(f"need t >= {WARMUP_DAYS} for the 30-day window, got t={t}")
-    if t >= series.n_days:
-        raise FeatureError(f"t={t} beyond series end {series.n_days - 1}")
-    close_t = series.close[t]
-    out = np.empty((series.n_assets, N_FEATURES), dtype=np.float64)
-    out[:, 0] = series.open[t] / close_t - 1.0
-    out[:, 1] = series.high[t] / close_t - 1.0
-    out[:, 2] = series.low[t] / close_t - 1.0
-    out[:, 3] = series.adj_close[t] / close_t - 1.0
-    out[:, 4] = close_t / series.close[t - 1] - 1.0
-    for j, k in enumerate(MA_WINDOWS):
-        out[:, 5 + j] = series.close[t - k + 1 : t + 1].mean(axis=0) / close_t - 1.0
-    return out
+    return compute_feature_range(series, t, t + 1)[0]
+
+
+def feature_range_from_closes(closes: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """Feature tensor (t1 - t0, N, 11) from a close-only path (flat intraday,
+    adj == close), so the intraday and adjusted-close ratios are zero.
+
+    Used to derive imagined states from forecast price paths.
+    """
+    return _window_features(closes, t0, t1)
 
 
 def features_from_closes(closes: np.ndarray, t: int) -> np.ndarray:
-    """Feature matrix from a close-only path (flat intraday, adj == close).
-
-    `closes` is (T, N); intraday ratios and the adjusted-close ratio are zero
-    by construction. Used to derive imagined states from forecast price paths.
-    """
-    if t < WARMUP_DAYS:
-        raise FeatureError(f"need t >= {WARMUP_DAYS}, got t={t}")
-    n = closes.shape[1]
-    out = np.zeros((n, N_FEATURES), dtype=np.float64)
-    close_t = closes[t]
-    out[:, 4] = close_t / closes[t - 1] - 1.0
-    for j, k in enumerate(MA_WINDOWS):
-        out[:, 5 + j] = closes[t - k + 1 : t + 1].mean(axis=0) / close_t - 1.0
-    return out
+    """Feature matrix (N, 11) at day t of a close-only path."""
+    return feature_range_from_closes(closes, t, t + 1)[0]
 
 
 class Normalizer:
@@ -228,7 +247,7 @@ def fit_normalizer(series: MarketSeries, split: str) -> Normalizer:
     start, stop = series.usable_range(split)
     if stop - start < 2:
         raise DataError(f"split {split!r} has {stop - start} usable rows, need >= 2")
-    rows = np.stack([compute_features(series, t) for t in range(start, stop)])
+    rows = compute_feature_range(series, start, stop)
     mean = rows.mean(axis=0)
     std = rows.std(axis=0, ddof=1)
     scale = np.maximum(1.0, np.abs(mean))
@@ -242,26 +261,38 @@ def fit_normalizer(series: MarketSeries, split: str) -> Normalizer:
     return Normalizer(mean, std, split)
 
 
-def apply_normalizer(norm: Normalizer, raw: np.ndarray) -> np.ndarray:
-    return norm.apply(raw)
-
-
 class FeatureView:
     """Observation provider: normalized features per day, one normalizer per split.
 
-    Normalizers are fitted lazily on first access and cached; the view is
-    read-only afterwards. Pass `normalizers` to pin pre-fitted statistics (for
-    example to audit a mutated series against the original statistics).
+    Normalizers are fitted lazily on first access and cached, and so is each
+    split's normalized feature tensor, computed in one kernel call over the
+    split's usable days and read-only; `state(t)` returns a row of it. Pass
+    `normalizers` to pin pre-fitted statistics (for example to audit a
+    mutated series against the original statistics). Safe to share across
+    threads: racing first accesses may compute a value twice, but
+    `dict.setdefault` hands every caller the one stored first.
     """
 
     def __init__(self, series: MarketSeries, normalizers: dict | None = None):
         self.series = series
         self._normalizers: dict[str, Normalizer] = dict(normalizers or {})
+        self._states: dict[str, np.ndarray] = {}
 
     def normalizer(self, split: str) -> Normalizer:
-        if split not in self._normalizers:
-            self._normalizers[split] = fit_normalizer(self.series, split)
-        return self._normalizers[split]
+        norm = self._normalizers.get(split)
+        if norm is None:
+            norm = self._normalizers.setdefault(split, fit_normalizer(self.series, split))
+        return norm
+
+    def split_states(self, split: str) -> np.ndarray:
+        """Read-only normalized features (rows, N, 11) of the split's usable days."""
+        states = self._states.get(split)
+        if states is None:
+            start, stop = self.series.usable_range(split)
+            states = self.normalizer(split).apply(compute_feature_range(self.series, start, stop))
+            states.flags.writeable = False
+            states = self._states.setdefault(split, states)
+        return states
 
     def split_of(self, t: int) -> str:
         for name in SPLIT_NAMES:
@@ -270,12 +301,11 @@ class FeatureView:
                 return name
         raise FeatureError(f"t={t} outside the date index")
 
-    def raw(self, t: int) -> np.ndarray:
-        return compute_features(self.series, t)
-
     def state(self, t: int) -> StateFeatures:
-        norm = self.normalizer(self.split_of(t))
-        values = norm.apply(compute_features(self.series, t))
+        split = self.split_of(t)
+        if t < WARMUP_DAYS:
+            raise FeatureError(f"need t >= {WARMUP_DAYS} for the 30-day window, got t={t}")
+        values = self.split_states(split)[t - self.series.usable_range(split)[0]]
         return StateFeatures(values=values, t=t, date=self.series.dates[t])
 
 

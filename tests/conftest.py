@@ -38,6 +38,17 @@ def make_jittered_series(rng, closes, **kwargs):
     return make_series(closes, open_=opens, high=high, low=low, adj_close=adj, **kwargs)
 
 
+def write_external_forecasts(path, series, horizons, split="test"):
+    """Zero-movement forecast CSV for every planned base date of a split."""
+    start, stop = series.usable_range(split)
+    lines = ["base_date,asset,horizon,predicted_movement\n"]
+    for t in range(start, stop - 1):
+        for asset in series.assets:
+            lines += [f"{series.dates[t].isoformat()},{asset},{h},0.0\n" for h in horizons]
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
 class RawFeatureView:
     """FeatureView stand-in serving raw (unnormalized) features.
 

@@ -94,3 +94,27 @@ def imagined_reward_oracle(value, prev_weights, weights, relatives, fee):
     delta = fee * value * turnover
     rho = math.fsum(float(w) * (float(r) - 1.0) for w, r in zip(weights[1:], relatives))
     return (value - delta) * (1.0 + rho) - value
+
+
+def slice_mean_features(close, t, intraday=None):
+    """The per-day feature formula, one day at a time, as NumPy slice means.
+
+    `intraday` is (open, high, low, adj_close) or None for flat bars. The
+    windowed feature kernel must reproduce these bytes exactly, so this keeps
+    NumPy's own summation order rather than the scalar loop above.
+    """
+    import numpy as np
+
+    close_t = close[t]
+    out = np.zeros((close.shape[1], 11))
+    for j, price in enumerate(intraday or ()):
+        out[:, j] = price[t] / close_t - 1.0
+    out[:, 4] = close_t / close[t - 1] - 1.0
+    for j, k in enumerate((5, 10, 15, 20, 25, 30)):
+        out[:, 5 + j] = close[t - k + 1 : t + 1].mean(axis=0) / close_t - 1.0
+    return out
+
+
+def series_slice_mean_features(series, t):
+    return slice_mean_features(series.close, t, (series.open, series.high, series.low,
+                                                 series.adj_close))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import write_external_forecasts
 from mpcfolio.harness.cli import main
 
 BASE_CONFIG = {
@@ -105,3 +106,25 @@ def test_seed_override(tmp_path, config_path):
                  "--seed", "7"]) == 0
     results = json.loads((out / "results.json").read_text())
     assert [c["seed"] for c in results["cells"]] == [7]
+
+
+def test_sweep_with_missing_external_cell_fails_fast(tmp_path, capsys):
+    from mpcfolio.harness.config import ExperimentConfig
+    from mpcfolio.harness.experiment import build_series
+
+    series = build_series(ExperimentConfig(BASE_CONFIG))
+    csv_path = write_external_forecasts(tmp_path / "fc.csv", series, horizons=(1, 2, 3))
+    lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    csv_path.write_text("".join(lines[:-1]), encoding="utf-8")  # drop the last cell
+    cfg = dict(BASE_CONFIG, forecast={"kind": "external", "path": str(csv_path)},
+               stream_reports=True)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: 1 missing forecast cells")
+    assert err.count("\n") == 1
+    assert not list(out.rglob("*.jsonl"))
+    assert not (out / "results.json").exists()

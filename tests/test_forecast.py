@@ -9,6 +9,7 @@ from mpcfolio.errors import (
     InfeasibleTargetError,
 )
 from mpcfolio.forecast import (
+    PRICE_FLOOR_FRAC,
     CheatForecaster,
     ContextMeanForecaster,
     ExternalForecastSource,
@@ -23,10 +24,17 @@ from mpcfolio.forecast import (
     fit_ridge,
     perturb,
     r_squared,
+    RidgeModel,
     ridge_solve,
 )
-from mpcfolio.marketdata import compute_features, fit_normalizer
-from oracles import context_mean_oracle
+from mpcfolio.marketdata import (
+    WARMUP_DAYS,
+    FeatureView,
+    compute_features,
+    features_from_closes,
+    fit_normalizer,
+)
+from oracles import context_mean_oracle, series_slice_mean_features, slice_mean_features
 
 
 class TestContextMeanBaseline:
@@ -355,3 +363,83 @@ class TestExternalSource:
         self._write(f, [("2020-01-02", "A0", 1, 0.5), ("2020-01-02", "A1", 1, cell)])
         with pytest.raises(DataError, match=r"non-finite predicted_movement in row 3"):
             ExternalForecastSource.from_csv(f)
+
+
+class TestBatchedRidge:
+    """The stacked forecaster against per-model, per-day references, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
+
+        series = generate_synthetic(SyntheticMarketSpec(
+            n_assets=5, length=460, signal_strength=0.004, volatility=0.005, seed=1))
+        return series, RidgeForecaster.fit(series, horizon=5, lambda_reg=10.0)
+
+    @staticmethod
+    def _composed(forecaster, series, t, horizon):
+        """Predicted movements, one RidgeModel.predict per (asset, horizon)."""
+        feats = forecaster.normalizer.apply(series_slice_mean_features(series, t))
+        out = np.empty((horizon, series.n_assets))
+        price = series.close[t].copy()
+        for h in range(1, horizon + 1):
+            rets = np.array([forecaster.models[(i, h)].predict(feats[i])
+                             for i in range(series.n_assets)])
+            out[h - 1] = price * rets
+            price = np.maximum(price + out[h - 1], PRICE_FLOOR_FRAC * series.close[t])
+        return out
+
+    def test_fit_matches_per_day_rows(self, fitted):
+        series, forecaster = fitted
+        norm = forecaster.normalizer
+        start, stop = series.usable_range("train")
+        for (i, h), model in forecaster.models.items():
+            ts = range(start, stop - h)
+            rows = np.asarray([norm.apply(series_slice_mean_features(series, t))[i]
+                               for t in ts])
+            targets = np.asarray([(series.close[t + h, i] - series.close[t + h - 1, i])
+                                  / series.close[t + h - 1, i] for t in ts])
+            want = ridge_solve(rows, targets, 10.0)
+            assert model.coef.tobytes() == want.coef.tobytes()
+            assert model.intercept == want.intercept
+
+    def test_predict_matches_per_model_composition(self, fitted):
+        series, forecaster = fitted
+        for t in range(WARMUP_DAYS, series.n_days):
+            for horizon in (1, 5):
+                got = forecaster.predict_movements(series, t, horizon)
+                assert got.tobytes() == self._composed(forecaster, series, t, horizon).tobytes()
+
+    def test_predict_matches_on_random_models(self, fitted):
+        series, forecaster = fitted
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            models = {key: RidgeModel(coef=rng.standard_normal(11) * 10.0 ** rng.integers(-6, 2),
+                                      intercept=float(rng.standard_normal() * 1e-3))
+                      for key in forecaster.models}
+            random = RidgeForecaster(models, 5, forecaster.normalizer)
+            t = int(rng.integers(WARMUP_DAYS, series.n_days))
+            got = random.predict_movements(series, t, 5)
+            assert got.tobytes() == self._composed(random, series, t, 5).tobytes()
+
+    def test_dict_roundtrip_predicts_same_bytes(self, fitted):
+        import json
+
+        series, forecaster = fitted
+        again = RidgeForecaster.from_dict(json.loads(json.dumps(forecaster.to_dict())))
+        for t in range(WARMUP_DAYS, series.n_days, 7):
+            assert (again.predict_movements(series, t, 5).tobytes()
+                    == forecaster.predict_movements(series, t, 5).tobytes())
+
+    def test_trajectory_states_match_per_day_features(self, fitted):
+        series, forecaster = fitted
+        norm = FeatureView(series).normalizer("test")
+        start, stop = series.usable_range("test")
+        for t in range(start, stop - 1):
+            traj = build_trajectory(forecaster, series, t, 5, normalizer=norm)
+            spliced = np.vstack([series.close[t - WARMUP_DAYS + 1 : t + 1], traj.prices])
+            for h in range(1, 6):
+                day = WARMUP_DAYS - 1 + h
+                raw = features_from_closes(spliced, day)
+                assert raw.tobytes() == slice_mean_features(spliced, day).tobytes()
+                assert traj.states[h - 1].tobytes() == norm.apply(raw).tobytes()

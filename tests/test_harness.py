@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from mpcfolio.errors import ConfigError
+from conftest import write_external_forecasts
+from mpcfolio.errors import ConfigError, CoverageError, NumericError
 from mpcfolio.forecast import RidgeForecaster, collect_forecast_grid, r_squared
 from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
 from mpcfolio.harness.config import ExperimentConfig
-from mpcfolio.harness.experiment import regenerate_reports, run_experiment
+from mpcfolio.harness.experiment import build_series, regenerate_reports, run_experiment
 from mpcfolio.harness.svgplot import render_curves
+from mpcfolio.pilot import run_pilot
 
 
 class TestSyntheticMarket:
@@ -153,29 +155,38 @@ class TestRunExperiment:
         base = results["baselines"][0]
         assert cell["values"] == base["values"]
 
-    def test_cell_failure_recorded_not_fatal(self, tmp_path):
-        from mpcfolio.harness.experiment import build_series
+    def test_cell_failure_recorded_not_fatal(self, tmp_path, monkeypatch):
+        from mpcfolio.harness import experiment
 
-        series = build_series(_quick_config([0]))
-        start, stop = series.usable_range("test")
-        # external file covers horizon 1 only: H=1 cells run, H=2 cells fail
-        lines = ["base_date,asset,horizon,predicted_movement\n"]
-        for t in range(start, stop):
-            for asset in series.assets:
-                lines.append(f"{series.dates[t].isoformat()},{asset},1,0.0\n")
-        path = tmp_path / "partial.csv"
-        path.write_text("".join(lines), encoding="utf-8")
+        def failing_at_h2(series, params, forecaster, cfg, **kwargs):
+            if cfg.horizon == 2:
+                raise NumericError("injected failure")
+            return run_pilot(series, params, forecaster, cfg, **kwargs)
 
+        monkeypatch.setattr(experiment, "run_pilot", failing_at_h2)
         cfg = _quick_config([0])
-        cfg.raw["forecast"] = {"kind": "external", "path": str(path),
-                               "lambda_reg": 1.0, "context_window": 30}
         cfg.raw["sweep"]["horizon"] = [1, 2]
         results = run_experiment(cfg, tmp_path / "out", use_sweep=True)
         by_h = {c["horizon"]: c for c in results["cells"]}
         assert by_h[1]["error"] is None
-        assert "CoverageError" in by_h[2]["error"]
+        assert by_h[2]["error"] == "NumericError: injected failure"
         agg_h2 = [a for a in results["aggregates"] if a["horizon"] == 2][0]
         assert agg_h2["n_seeds"] == 0
+
+    def test_missing_external_cell_fails_before_any_work(self, tmp_path):
+        series = build_series(_quick_config([0]))
+        # the file covers horizon 1 only: enough for H=1, not for H=2
+        path = write_external_forecasts(tmp_path / "partial.csv", series, horizons=(1,))
+        cfg = _quick_config([0], stream=True)
+        cfg.raw["forecast"] = {"kind": "external", "path": str(path),
+                               "lambda_reg": 1.0, "context_window": 30}
+        cfg.raw["sweep"]["horizon"] = [1]
+        results = run_experiment(cfg, tmp_path / "h1", use_sweep=True)
+        assert results["cells"][0]["error"] is None
+        cfg.raw["sweep"]["horizon"] = [1, 2]
+        with pytest.raises(CoverageError, match="missing forecast cells"):
+            run_experiment(cfg, tmp_path / "out", use_sweep=True)
+        assert not any((tmp_path / "out").iterdir())
 
     def test_sweep_axes_and_calibrations(self, tmp_path):
         cfg = _quick_config([0], sweep_r2=[0.5, 1.0], forecast_kind="zero")

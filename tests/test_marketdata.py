@@ -1,4 +1,6 @@
 import datetime as dt
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,12 +13,17 @@ from mpcfolio.marketdata import (
     FEATURE_NAMES,
     FeatureView,
     MarketSeries,
+    compute_feature_range,
     compute_features,
+    feature_range_from_closes,
+    features_from_closes,
     fit_normalizer,
     load_csv,
     trading_dates,
 )
-from oracles import features_oracle
+from oracles import features_oracle, series_slice_mean_features, slice_mean_features
+
+README_MARKET = dict(n_assets=5, length=460, signal_strength=0.004, volatility=0.005, seed=1)
 
 
 def test_constant_prices_give_zero_features():
@@ -252,3 +259,87 @@ def test_feature_view_uses_split_of_t(small_market):
     st_train = view.state(t_train)
     assert st_train.values.shape == (3, 11)
     assert np.all(np.isfinite(st_train.values))
+
+
+class TestWindowKernel:
+    """The windowed kernel against the per-day slice-mean formula, byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_range_matches_per_day_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        n_days = 31 + int(rng.integers(0, 250))
+        closes = random_walk_closes(rng, n_days, 1 + int(rng.integers(0, 5)))
+        series = make_jittered_series(rng, closes)
+        t0 = int(rng.integers(30, n_days))
+        t1 = int(rng.integers(t0 + 1, n_days + 1))
+        got = compute_feature_range(series, t0, t1)
+        want = np.stack([series_slice_mean_features(series, t) for t in range(t0, t1)])
+        assert got.tobytes() == want.tobytes()
+        flat = feature_range_from_closes(series.close, t0, t1)
+        want = np.stack([slice_mean_features(series.close, t) for t in range(t0, t1)])
+        assert flat.tobytes() == want.tobytes()
+        assert features_from_closes(series.close, t0).tobytes() == want[0].tobytes()
+
+    def test_range_bounds(self, small_market):
+        with pytest.raises(FeatureError):
+            compute_feature_range(small_market, 29, 40)
+        with pytest.raises(FeatureError):
+            compute_feature_range(small_market, 40, small_market.n_days + 1)
+        with pytest.raises(FeatureError):
+            compute_features(small_market, small_market.n_days)
+
+
+class TestFeatureViewTensor:
+    def _readme_market(self):
+        from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
+
+        return generate_synthetic(SyntheticMarketSpec(**README_MARKET))
+
+    def test_every_state_matches_per_day_formula(self):
+        series = self._readme_market()
+        view = FeatureView(series)
+        for split in ("train", "valid", "test"):
+            start, stop = series.usable_range(split)
+            rows = np.stack([series_slice_mean_features(series, t) for t in range(start, stop)])
+            norm = view.normalizer(split)
+            assert norm.mean.tobytes() == rows.mean(axis=0).tobytes()
+            assert norm.std.tobytes() == rows.std(axis=0, ddof=1).tobytes()
+            assert norm.mean.tobytes() == fit_normalizer(series, split).mean.tobytes()
+            for t in range(start, stop):
+                state = view.state(t)
+                want = norm.apply(series_slice_mean_features(series, t))
+                assert state.values.tobytes() == want.tobytes()
+                assert state.t == t and state.date == series.dates[t]
+                assert not state.values.flags.writeable
+        with pytest.raises(FeatureError):
+            view.state(29)
+        with pytest.raises(FeatureError):
+            view.state(series.n_days)
+
+    def test_concurrent_states_match_serial(self):
+        series = self._readme_market()
+        ts = list(range(30, series.n_days))
+        serial = [FeatureView(series).state(t).values for t in ts]
+        view = FeatureView(series)  # nothing fitted yet: the threads race to fill it
+        results = [None] * 4
+
+        def read(k):
+            order = ts[100 * k:] + ts[:100 * k]  # each thread starts in another split
+            got = {t: view.state(t).values for t in order}
+            results[k] = [got[t] for t in ts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for got in results:
+            assert got is not None
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, serial))
