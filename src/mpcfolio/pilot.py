@@ -237,6 +237,29 @@ def _phase1(params, series, t, forecaster, cfg, normalizer, noise_calib, rng_noi
             np.stack([p.relatives for p in particles]), bootstraps)
 
 
+class _Rollout:
+    """The epoch-invariant part of a planner pass, built once per trading step."""
+
+    def __init__(self, obs_flat, states, relatives, prev_weights, value0: float,
+                 bootstraps, fee_rate: float, discount: float):
+        k, horizon, n = relatives.shape
+        self.x = np.concatenate([np.broadcast_to(obs_flat, (k, 1, obs_flat.size)),
+                                 states[:, :-1].reshape(k, horizon - 1, obs_flat.size)],
+                                axis=1).reshape(k * horizon, obs_flat.size)
+        self.rel_full = np.concatenate([np.ones((k, horizon, 1)), relatives], axis=2)
+        self.rel_m1 = self.rel_full - 1.0
+        self.rel_head = self.rel_full[:, :-1]
+        self.prev0 = np.broadcast_to(prev_weights, (k, 1, n + 1))
+        self.v0 = np.full((k, 1), value0)
+        gammas = discount ** np.arange(horizon + 1)
+        self.gammas = gammas[:-1]
+        # J = -V_0 + sum_m coef_m V_m + gamma^H B
+        self.coef = gammas[:-1] - gammas[1:]
+        self.coef[-1] = gammas[-2]
+        self.boot = gammas[-1] * bootstraps
+        self.fee_rate = fee_rate
+
+
 def planner_objective(params: PolicyParams, obs_flat, states, relatives, prev_weights,
                       value0: float, bootstraps, fee_rate: float, discount: float,
                       risk_lambda: float, eps_num: float, action_noise=None):
@@ -249,94 +272,92 @@ def planner_objective(params: PolicyParams, obs_flat, states, relatives, prev_we
     Returns (objective, per-particle returns (K,), downside variance, flat
     gradient aligned with `PolicyParams.flat`, critic entries 0).
     """
-    objective, returns, downside_var, grads = _planner_pass(
-        params, obs_flat, states, relatives, prev_weights, value0, bootstraps, fee_rate,
-        discount, risk_lambda, eps_num, action_noise)
-    return objective, returns, downside_var, params.flat_from(grads)
+    rollout = _Rollout(obs_flat, states, relatives, prev_weights, value0, bootstraps,
+                       fee_rate, discount)
+    objective, returns, downside_var, grad = _planner_pass(
+        params, rollout, risk_lambda, eps_num, action_noise)
+    return (objective, returns, downside_var,
+            np.concatenate([grad, np.zeros(params.n_params() - grad.size)]))
 
 
-def _planner_pass(params: PolicyParams, obs_flat, states, relatives, prev_weights,
-                  value0: float, bootstraps, fee_rate: float, discount: float,
-                  risk_lambda: float, eps_num: float, action_noise=None, with_grad=True):
-    """`planner_objective` with the gradient kept per actor array, or skipped.
+def _planner_pass(params: PolicyParams, rollout: _Rollout, risk_lambda: float,
+                  eps_num: float, action_noise=None, with_grad=True):
+    """`planner_objective` on a prepared rollout, with the actor gradient or without.
 
     Because the weights never move prices, each step's drifted weights,
     turnover t_h and growth factor c_h = (1 - fee * t_h)(1 + rho_h) are array
     ops over (K, H), and the value path is value0 * cumprod(c). The reverse
-    pass is written out by hand. The gradient is a dict from actor parameter
-    name to array (`actor_backward`), or None when with_grad is False.
+    pass is written out by hand. The gradient is the flat actor gradient of
+    `actor_backward`, or None when with_grad is False.
     """
-    k, horizon, n = relatives.shape
-    x = np.concatenate([np.broadcast_to(obs_flat, (k, 1, obs_flat.size)),
-                        states[:, :-1].reshape(k, horizon - 1, obs_flat.size)], axis=1)
-    z = None if action_noise is None else action_noise.reshape(k * horizon, n + 1)
-    w_rows, acts = actor_forward(params, x.reshape(k * horizon, obs_flat.size), z)
-    w = w_rows.reshape(k, horizon, n + 1)
+    r = rollout
+    k, horizon, n1 = r.rel_full.shape
+    z = None if action_noise is None else action_noise.reshape(k * horizon, n1)
+    w_rows, acts = actor_forward(params, r.x, z)
+    w = w_rows.reshape(k, horizon, n1)
 
-    rel_full = np.concatenate([np.ones((k, horizon, 1)), relatives], axis=2)
-    drifted = w[:, :-1] * rel_full[:, :-1]
+    drifted = w[:, :-1] * r.rel_head
     drift_sum = drifted.sum(axis=2, keepdims=True)
-    prev = np.concatenate([np.broadcast_to(prev_weights, (k, 1, n + 1)),
-                           drifted / drift_sum], axis=1)
-    sign = np.sign(w - prev)
-    fee_keep = 1.0 - fee_rate * np.abs(w - prev).sum(axis=2)
-    growth = 1.0 + (w * (rel_full - 1.0)).sum(axis=2)
+    prev = np.concatenate([r.prev0, drifted / drift_sum], axis=1)
+    turn = w - prev
+    sign = np.sign(turn)
+    fee_keep = 1.0 - r.fee_rate * np.abs(turn).sum(axis=2)
+    growth = 1.0 + (w * r.rel_m1).sum(axis=2)
     c = fee_keep * growth
-    values = np.concatenate([np.full((k, 1), value0), value0 * np.cumprod(c, axis=1)], axis=1)
-    bad = np.argwhere(~np.isfinite(values[:, 1:]))
-    if bad.size:
-        raise NumericError(
-            f"non-finite imagined value (particle {bad[0][0]}, step {bad[0][1]})")
+    path = r.v0 * np.cumprod(c, axis=1)
+    if not np.isfinite(path).all():
+        bad = np.argwhere(~np.isfinite(path))[0]
+        raise NumericError(f"non-finite imagined value (particle {bad[0]}, step {bad[1]})")
+    values = np.concatenate([r.v0, path], axis=1)
 
-    gammas = discount ** np.arange(horizon + 1)
-    returns = (values[:, 1:] - values[:, :-1]) @ gammas[:-1] + gammas[-1] * bootstraps
-    mean = returns.mean()
+    returns = (path - values[:, :-1]) @ r.gammas + r.boot
+    # sum() / k is mean() to the bit, without NumPy's Python-level wrapper
+    mean = returns.sum() / k
     down = np.minimum(returns - mean, 0.0)
-    downside_var = float(np.mean(down ** 2))
+    downside_var = float((down ** 2).sum() / k)
     spread = np.sqrt(downside_var + eps_num)
     objective = float(mean - risk_lambda * spread)
     if not with_grad:
         return objective, returns, downside_var, None
 
-    # J = -V_0 + sum_m coef_m V_m + gamma^H B, so dJ/dc_h = V_h T_h with
-    # T_{H-1} = coef_H and T_h = coef_{h+1} + c_{h+1} T_{h+1}; dividing a
-    # suffix sum by c_h instead would fail where a fee zeroes c_h
-    coef = gammas[:-1] - gammas[1:]
-    coef[-1] = gammas[-2]
+    # dJ/dc_h = V_h T_h with T_{H-1} = coef_H and T_h = coef_{h+1} + c_{h+1} T_{h+1};
+    # dividing a suffix sum by c_h instead would fail where a fee zeroes c_h
     tail = np.empty((k, horizon))
-    tail[:, -1] = coef[-1]
+    tail[:, -1] = r.coef[-1]
     for h in range(horizon - 2, -1, -1):
-        tail[:, h] = coef[h] + c[:, h + 1] * tail[:, h + 1]
-    g_returns = (1.0 - risk_lambda * (down - down.mean()) / spread) / k
+        tail[:, h] = r.coef[h] + c[:, h + 1] * tail[:, h + 1]
+    g_returns = (1.0 - risk_lambda * (down - down.sum() / k) / spread) / k
     g_c = g_returns[:, None] * values[:, :-1] * tail
-    g_turnover = (-fee_rate * g_c * growth)[..., None] * sign
-    g_w = g_turnover + (g_c * fee_keep)[..., None] * (rel_full - 1.0)
+    g_turnover = (-r.fee_rate * g_c * growth)[..., None] * sign
+    g_w = g_turnover + (g_c * fee_keep)[..., None] * r.rel_m1
     # prev_h = u / sum(u) with u = w_{h-1} * rel_full_{h-1}; prev_0 is fixed
     g_prev = -g_turnover[:, 1:]
     g_u = (g_prev - (g_prev * prev[:, 1:]).sum(axis=2, keepdims=True)) / drift_sum
-    g_w[:, :-1] += g_u * rel_full[:, :-1]
-    grads = actor_backward(params, acts, w_rows, g_w.reshape(k * horizon, n + 1), z)
-    return objective, returns, downside_var, grads
+    g_w[:, :-1] += g_u * r.rel_head
+    grad = actor_backward(params, acts, w_rows, g_w.reshape(k * horizon, n1), z)
+    return objective, returns, downside_var, grad
 
 
-def _ascend(params, grads: dict, step_size):
-    """One gradient-ascent update of the arrays in `grads`; returns the gradient norm.
+def _ascend(params: PolicyParams, grad: np.ndarray, step_size) -> float:
+    """One gradient-ascent update of the actor prefix, in place; returns the gradient norm.
 
-    Only those arrays are replaced, so a step touches the actor alone and
-    never the whole flat vector. A gradient whose norm overflows counts as
-    non-finite. The norm is a plain sum, not a BLAS dot, which goes
-    multithreaded on long vectors and leaves a spinning thread behind.
+    `grad` is a flat actor gradient. The update is written into `params` only
+    when the gradient norm and every updated entry are finite, so a failed
+    step leaves the vector untouched; a norm that overflows counts as
+    non-finite. Callers pass a private copy, never a caller's parameters. The
+    norm is a plain sum, not a BLAS dot, which goes multithreaded on long
+    vectors and leaves a spinning thread behind.
     """
-    updated = {}
+    actor = params.vector[:params.actor_size]
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = sum(float(np.sum(g * g)) for g in grads.values())
-        if not np.isfinite(sq):
+        sq = float((grad * grad).sum())
+        if not math.isfinite(sq):
             raise NumericError("non-finite gradient")
-        for name, g in grads.items():
-            updated[name] = params.values[name] + step_size * g
-            if not np.all(np.isfinite(updated[name])):
-                raise NumericError("non-finite parameters after update")
-    params.values.update(updated)
+        new = step_size * grad
+        new += actor
+        if not np.isfinite(new).all():
+            raise NumericError("non-finite parameters after update")
+    actor[...] = new
     return math.sqrt(sq)
 
 
@@ -346,12 +367,14 @@ def adapt_step(params: PolicyParams, obs_flat, port_value, port_weights,
                rng_action=None, rng_noise=None) -> tuple[np.ndarray, StepReport]:
     """Plan one step and return the executed deterministic weights.
 
-    Runs E ascent epochs on the risk objective over the phase-1 particles. A
-    NumericError in either phase becomes the step's incident: the entry
-    parameters are restored and the un-adapted action executes.
+    Builds the rollout once, then runs E ascent epochs on the risk objective
+    over the phase-1 particles, each writing the actor prefix of `params` in
+    place. A NumericError in either phase becomes the step's incident: the
+    entry vector is written back and the un-adapted action executes. With
+    reset_each_step the entry vector is written back after execution too.
     """
     report = StepReport(t=t)
-    entry = dict(params.values)
+    entry = params.vector.copy()
     stage = "forecast rejected"
     try:
         imagined = _phase1(params, series, t, forecaster, cfg, normalizer,
@@ -359,33 +382,34 @@ def adapt_step(params: PolicyParams, obs_flat, port_value, port_weights,
         stage = "adaptation aborted"
         if imagined is not None:
             states, relatives, bootstraps = imagined
-            rollout = (obs_flat, states, relatives, port_weights,
-                       port_value / cfg.value_scale, bootstraps, fee_rate)
+            rollout = _Rollout(obs_flat, states, relatives, port_weights,
+                               port_value / cfg.value_scale, bootstraps, fee_rate,
+                               cfg.discount)
             noise = None
             for _ in range(cfg.epochs):
                 noise = _draw_action_noise(params, relatives.shape[:2], rng_action)
-                objective, returns, downside_var, grads = _planner_pass(
-                    params, *rollout, cfg.discount, cfg.risk_lambda, cfg.eps_num, noise)
+                objective, returns, downside_var, grad = _planner_pass(
+                    params, rollout, cfg.risk_lambda, cfg.eps_num, noise)
                 if report.objective_before is None:
                     report.objective_before = objective
-                report.mean_return = float(returns.mean())
+                report.mean_return = float(returns.sum() / returns.size)
                 report.downside_variance = downside_var
-                report.grad_norms.append(_ascend(params, grads, cfg.step_size))
+                report.grad_norms.append(_ascend(params, grad, cfg.step_size))
             report.objective_after = _objective_value(params, rollout, cfg, noise)
     except NumericError as exc:
-        params.values = dict(entry)
+        params.vector[...] = entry
         report.incident = f"{stage}: {exc}"
     weights = act(params, obs_flat, mode="deterministic").weights
     report.executed_weights = weights
     if cfg.reset_mode == "reset_each_step":
-        params.values = dict(entry)
+        params.vector[...] = entry
     return weights, report
 
 
 def _objective_value(params, rollout, cfg, action_noise) -> float:
     """Objective after adaptation, on the last epoch's draws; telemetry only."""
-    return _planner_pass(params, *rollout, cfg.discount, cfg.risk_lambda, cfg.eps_num,
-                         action_noise, with_grad=False)[0]
+    return _planner_pass(params, rollout, cfg.risk_lambda, cfg.eps_num, action_noise,
+                         with_grad=False)[0]
 
 
 @dataclass

@@ -6,10 +6,12 @@ its own trunk by default (a shared trunk is available behind a flag). The
 stochastic head adds a state-independent learnable log-std and samples logits
 by reparameterization, so sampled allocations stay differentiable.
 
-Parameters live in plain float64 arrays with a stable flat view used for
-checkpointing. The planner differentiates the batched actor pass through its
-hand-written reverse (`actor_forward`, `actor_backward`); pretraining still
-records its losses on the tape in `autodiff`.
+Parameters live in one contiguous float64 vector, which is also the
+checkpoint format; each named array is a C-contiguous view into it, and the
+actor's arrays come first, so the actor is one prefix slice. The planner
+differentiates the batched actor pass through its hand-written reverse
+(`actor_forward`, `actor_backward`) into one flat actor gradient; pretraining
+still records its losses on the tape in `autodiff`.
 """
 
 from __future__ import annotations
@@ -83,49 +85,69 @@ def _orthogonal(rng, rows: int, cols: int, gain: float) -> np.ndarray:
     return gain * q[:rows, :cols]
 
 
-class PolicyParams:
-    """Named float64 arrays with a stable flat view; architecture is fixed.
+def _layout(config: PolicyConfig) -> tuple:
+    """(name, start, stop, shape) of each array in the flat vector; the checkpoint order.
 
-    Updates replace arrays and never write into them, so a shallow copy of
-    `values` is a snapshot that can be put back.
+    Actor trunk, head and log-std come first, then the critic.
+    """
+    dims = [config.input_dim, *config.hidden]
+    head = (config.action_dim, dims[-1])
+
+    def trunk(prefix):
+        arrays = []
+        for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
+            arrays += [(f"{prefix}.w{i}", (dout, din)), (f"{prefix}.b{i}", (dout,))]
+        return arrays
+
+    shapes = trunk("actor") + [("actor.head_w", head), ("actor.head_b", head[:1])]
+    if config.mode == "stochastic":
+        shapes.append(("actor.log_std", head[:1]))
+    if not config.shared_trunk:
+        shapes += trunk("critic")
+    shapes += [("critic.head_w", (1, dims[-1])), ("critic.head_b", (1,))]
+    layout, start = [], 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        layout.append((name, start, stop, shape))
+        start = stop
+    return tuple(layout)
+
+
+class PolicyParams:
+    """Named float64 arrays that are views into one contiguous vector.
+
+    `values[name]` is a C-contiguous view into `vector`, laid out by the
+    config alone, and the actor is the prefix `vector[:actor_size]`.
+    `flat`, `set_flat` and `copy` copy the vector, so no two instances share
+    memory. Only the copy being adapted or pretrained is written in place.
     """
 
     TRUNK_GAIN = 1.0
     HEAD_GAIN = 0.01
     LOG_STD_INIT = -1.0
 
-    def __init__(self, config: PolicyConfig, values: dict | None = None):
+    def __init__(self, config: PolicyConfig, vector: np.ndarray | None = None):
         self.config = config
-        if values is not None:
-            self.values = {k: np.array(v, dtype=np.float64) for k, v in values.items()}
-        else:
-            self.values = self._init_values()
-        self._check_shapes()
+        self._layout = _layout(config)
+        self.actor_size = max(stop for name, _, stop, _ in self._layout
+                              if name.startswith("actor."))
+        self.set_flat(np.zeros(self._layout[-1][2]) if vector is None else vector)
+        if vector is None:
+            self._init_values()
+        self._check_finite()
 
-    def _layer_dims(self) -> list:
-        dims = [self.config.input_dim, *self.config.hidden]
-        return list(zip(dims[:-1], dims[1:]))
+    def _init_values(self) -> None:
+        # weights are drawn in layout order, actor before critic
+        rng = np.random.default_rng(self.config.init_seed)
+        for name, arr in self.values.items():
+            kind = name.split(".")[1]
+            if kind == "log_std":
+                arr[...] = self.LOG_STD_INIT
+            elif kind.startswith("w") or kind == "head_w":
+                gain = self.HEAD_GAIN if kind == "head_w" else self.TRUNK_GAIN
+                arr[...] = _orthogonal(rng, *arr.shape, gain)
 
-    def _init_values(self) -> dict:
-        cfg = self.config
-        rng = np.random.default_rng(cfg.init_seed)
-        vals: dict[str, np.ndarray] = {}
-        for i, (din, dout) in enumerate(self._layer_dims()):
-            vals[f"actor.w{i}"] = _orthogonal(rng, dout, din, self.TRUNK_GAIN)
-            vals[f"actor.b{i}"] = np.zeros(dout)
-        vals["actor.head_w"] = _orthogonal(rng, cfg.action_dim, cfg.hidden[-1], self.HEAD_GAIN)
-        vals["actor.head_b"] = np.zeros(cfg.action_dim)
-        if cfg.mode == "stochastic":
-            vals["actor.log_std"] = np.full(cfg.action_dim, self.LOG_STD_INIT)
-        if not cfg.shared_trunk:
-            for i, (din, dout) in enumerate(self._layer_dims()):
-                vals[f"critic.w{i}"] = _orthogonal(rng, dout, din, self.TRUNK_GAIN)
-                vals[f"critic.b{i}"] = np.zeros(dout)
-        vals["critic.head_w"] = _orthogonal(rng, 1, cfg.hidden[-1], self.HEAD_GAIN)
-        vals["critic.head_b"] = np.zeros(1)
-        return vals
-
-    def _check_shapes(self):
+    def _check_finite(self):
         for name, arr in self.values.items():
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"non-finite parameter {name}")
@@ -135,29 +157,22 @@ class PolicyParams:
         return list(self.values)
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.values[n].ravel() for n in self.values])
+        return self.vector.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        sizes = sum(v.size for v in self.values.values())
-        if flat.shape != (sizes,):
-            raise ShapeError(f"flat vector has shape {flat.shape}, expected ({sizes},)")
-        offset = 0
-        for name, arr in self.values.items():
-            block = flat[offset : offset + arr.size]
-            self.values[name] = block.reshape(arr.shape).copy()
-            offset += arr.size
-
-    def flat_from(self, arrays: dict) -> np.ndarray:
-        """Flat vector aligned with `flat`: `arrays[name]` where given, zeros elsewhere."""
-        return np.concatenate([arrays[n].ravel() if n in arrays else np.zeros(arr.size)
-                               for n, arr in self.values.items()])
+        flat = np.array(flat, dtype=np.float64)
+        size = self._layout[-1][2]
+        if flat.shape != (size,):
+            raise ShapeError(f"flat vector has shape {flat.shape}, expected ({size},)")
+        self.vector = flat
+        self.values = {name: flat[start:stop].reshape(shape)
+                       for name, start, stop, shape in self._layout}
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.config, values=self.values)
+        return PolicyParams(self.config, self.vector)
 
     def n_params(self) -> int:
-        return sum(v.size for v in self.values.values())
+        return self.vector.size
 
 
 # -- forward passes ----------------------------------------------------------
@@ -257,25 +272,25 @@ def actor_forward(params: PolicyParams, x: np.ndarray, z: np.ndarray | None = No
 
 
 def actor_backward(params: PolicyParams, acts: list, weights: np.ndarray,
-                   g_weights: np.ndarray, z: np.ndarray | None = None) -> dict:
+                   g_weights: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
     """Gradient of sum(g_weights * weights) through `actor_forward`.
 
-    One array per actor parameter, keyed by name; the critic gets no entry.
+    One flat vector aligned with the actor prefix `vector[:actor_size]`; the
+    log-std entries are 0 when no `z` draws were used.
     """
     g = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
-    grads = {}
-    if z is not None:
-        grads["actor.log_std"] = np.exp(params.values["actor.log_std"]) * np.sum(g * z, axis=0)
-    grads["actor.head_w"] = g.T @ acts[-1]
-    grads["actor.head_b"] = g.sum(axis=0)
+    parts = []  # in reverse layout order
+    if params.config.mode == "stochastic":
+        parts.append(np.zeros(params.config.action_dim) if z is None
+                     else np.exp(params.values["actor.log_std"]) * np.sum(g * z, axis=0))
+    parts += [g.sum(axis=0), (g.T @ acts[-1]).ravel()]
     g = g @ params.values["actor.head_w"]
     for i in reversed(range(len(params.config.hidden))):
         g = g * (1.0 - acts[i + 1] ** 2)
-        grads[f"actor.w{i}"] = g.T @ acts[i]
-        grads[f"actor.b{i}"] = g.sum(axis=0)
+        parts += [g.sum(axis=0), (g.T @ acts[i]).ravel()]
         if i:
             g = g @ params.values[f"actor.w{i}"]
-    return grads
+    return np.concatenate(parts[::-1])
 
 
 # -- taped forward passes -----------------------------------------------------
@@ -325,9 +340,8 @@ def value_taped(leaves, params, x):
     return ad.vsum(out)
 
 
-def grad(objective: ad.Node, leaves: dict, params: PolicyParams) -> np.ndarray:
-    """Reverse-mode gradient aligned with the flat view; non-leaf entries are 0."""
-    objective.backward()
+def _leaf_grads(leaves: dict, params: PolicyParams) -> np.ndarray:
+    """Leaf gradients aligned with the flat vector; arrays without one get 0."""
     parts = []
     for name, arr in params.values.items():
         node = leaves.get(name)
@@ -335,7 +349,13 @@ def grad(objective: ad.Node, leaves: dict, params: PolicyParams) -> np.ndarray:
             parts.append(np.asarray(node.grad, dtype=np.float64).ravel())
         else:
             parts.append(np.zeros(arr.size))
-    g = np.concatenate(parts)
+    return np.concatenate(parts)
+
+
+def grad(objective: ad.Node, leaves: dict, params: PolicyParams) -> np.ndarray:
+    """Reverse-mode gradient aligned with the flat view; non-leaf entries are 0."""
+    objective.backward()
+    g = _leaf_grads(leaves, params)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient")
     return g
@@ -385,36 +405,28 @@ def load_checkpoint(path) -> PolicyParams:
         raise ShapeError(f"unsupported checkpoint version {payload.get('version')}")
     config = PolicyConfig.from_dict(payload["config"])
     flat = np.frombuffer(base64.b64decode(payload["data_b64"]), dtype="<f8")
-    params = PolicyParams(config)
-    params.set_flat(flat)
-    return params
+    return PolicyParams(config, flat)
 
 
 # -- pretraining ---------------------------------------------------------------
 
 
 class _Adam:
-    def __init__(self, names, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over the whole flat vector; the update is elementwise, written in place."""
+
+    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {n: np.zeros(s) for n, s in zip(names, shapes)}
-        self.v = {n: np.zeros(s) for n, s in zip(names, shapes)}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def update(self, params: PolicyParams, grads: dict) -> None:
+    def update(self, params: PolicyParams, g: np.ndarray) -> None:
         self.t += 1
-        for name, g in grads.items():
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1 ** self.t)
-            vhat = v / (1 - self.beta2 ** self.t)
-            params.values[name] = params.values[name] - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def _collect_grads(leaves: dict) -> dict:
-    return {
-        name: np.asarray(node.grad if node.grad is not None else np.zeros_like(node.value))
-        for name, node in leaves.items()
-    }
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        mhat = self.m / (1 - self.beta1 ** self.t)
+        vhat = self.v / (1 - self.beta2 ** self.t)
+        params.vector -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 class _AdvantageNorm:
@@ -483,7 +495,7 @@ def pretrain(series: MarketSeries, env_config: EnvConfig,
         return params
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAC]))
-    opt = _Adam(params.names, [v.shape for v in params.values.values()], lr=lr)
+    opt = _Adam(params.n_params(), lr=lr)
     scale = env_config.initial_value
     adv_norm = _AdvantageNorm()
 
@@ -545,7 +557,7 @@ def _stochastic_step(params, x, series, view, t, stop, state, env_config,
         ad.mul(ad.vsum(log_std_node), -entropy_coef),
     ])
     loss.backward()
-    opt.update(params, _collect_grads(leaves))
+    opt.update(params, _leaf_grads(leaves, params))
     return float(loss.value), exec_weights
 
 
@@ -572,5 +584,5 @@ def _deterministic_step(params, x, series, view, t, stop, state, env_config,
 
     loss = ad.add_n([ad.mul(r_node, -1.0), ad.mul(critic_loss, value_coef)])
     loss.backward()
-    opt.update(params, _collect_grads(leaves))
+    opt.update(params, _leaf_grads(leaves, params))
     return float(loss.value), exec_weights

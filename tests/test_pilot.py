@@ -19,7 +19,9 @@ from mpcfolio.forecast import (
 from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
 from mpcfolio.marketdata import FeatureView
 from mpcfolio.pilot import (
+    RESET_MODES,
     MpcConfig,
+    _Rollout,
     _ascend,
     _phase1,
     _planner_pass,
@@ -209,8 +211,8 @@ class TestPlannerObjective:
                 softmax_weights(rng.standard_normal(n + 1)), 1.3, rng.standard_normal(k),
                 0.01, 0.97, 0.5, 1e-8, rng.standard_normal((k, horizon, n + 1)))
         obj, returns, downside_var, g = planner_objective(params, *args)
-        obj_only, returns_only, downside_only, none = _planner_pass(params, *args,
-                                                                    with_grad=False)
+        obj_only, returns_only, downside_only, none = _planner_pass(
+            params, _Rollout(*args[:8]), *args[8:], with_grad=False)
         assert (obj_only, downside_only, none) == (obj, downside_var, None)
         assert np.array_equal(returns_only, returns)
 
@@ -220,38 +222,35 @@ class TestAscend:
         return PolicyParams(PolicyConfig(n_assets=2, hidden=(8, 6), mode="stochastic",
                                          init_seed=3))
 
-    def test_replaces_only_the_named_arrays(self, rng):
+    def test_writes_only_the_actor_prefix_in_place(self, rng):
         params = self._params()
-        before = dict(params.values)
-        grads = {n: rng.standard_normal(a.shape) for n, a in before.items()
-                 if n.startswith("actor.")}
-        norm = _ascend(params, grads, 0.1)
-        assert norm == pytest.approx(np.linalg.norm(params.flat_from(grads)), rel=1e-12)
-        for name, arr in before.items():
-            if name in grads:
-                assert np.array_equal(params.values[name], arr + 0.1 * grads[name])
-            else:
-                assert params.values[name] is arr
+        before, views = params.flat(), dict(params.values)
+        g = rng.standard_normal(params.actor_size)
+        norm = _ascend(params, g, 0.1)
+        assert norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
+        assert np.array_equal(params.vector[:params.actor_size],
+                              before[:params.actor_size] + 0.1 * g)
+        assert params.vector[params.actor_size:].tobytes() == before[params.actor_size:].tobytes()
+        assert all(params.values[n] is a for n, a in views.items())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_gradient_changes_nothing(self, bad):
         # 1e200 is finite, but its square overflows the norm
         params = self._params()
-        before = dict(params.values)
-        grads = {n: np.zeros(a.shape) for n, a in before.items() if n.startswith("actor.")}
-        grads["actor.head_b"][1] = bad
+        before = params.vector.tobytes()
+        names = params.names
+        g = np.zeros(params.actor_size)
+        g[sum(params.values[n].size for n in names[:names.index("actor.head_b")]) + 1] = bad
         with pytest.raises(NumericError, match="non-finite gradient"):
-            _ascend(params, grads, 0.1)
-        assert all(params.values[n] is a for n, a in before.items())
+            _ascend(params, g, 0.1)
+        assert params.vector.tobytes() == before
 
     def test_overflowing_update_changes_nothing(self):
         params = self._params()
-        before = dict(params.values)
-        grads = {n: np.full(a.shape, 10.0) for n, a in before.items()
-                 if n.startswith("actor.")}
+        before = params.vector.tobytes()
         with pytest.raises(NumericError, match="non-finite parameters after update"):
-            _ascend(params, grads, 1e308)
-        assert all(params.values[n] is a for n, a in before.items())
+            _ascend(params, np.full(params.actor_size, 10.0), 1e308)
+        assert params.vector.tobytes() == before
 
 
 def _planner_market(seed=5, n=2, length=320, signal=0.004):
@@ -329,6 +328,30 @@ class TestAdaptStep:
         assert report.incident is not None
         assert np.array_equal(weights, baseline_w)
         assert np.array_equal(work.flat(), entry)
+
+    def test_aborted_step_restores_the_entry_vector(self, two_asset_market, monkeypatch):
+        # every epoch has written the actor in place before the telemetry pass fails
+        def failing_objective(*args):
+            raise NumericError("injected")
+
+        monkeypatch.setattr("mpcfolio.pilot._objective_value", failing_objective)
+        series = two_asset_market
+        view = FeatureView(series)
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), mode="stochastic",
+                                           init_seed=5))
+        t = series.usable_range("test")[0]
+        obs = view.state(t)
+        cfg = MpcConfig(horizon=3, epochs=3, step_size=0.05, value_scale=1e5)
+        work = params.copy()
+        entry = work.vector.tobytes()
+        weights, report = adapt_step(
+            work, obs.flat(), 1e5, all_cash_weights(2), series, t,
+            PerfectForecaster(), cfg, 0.001, normalizer=view.normalizer("test"),
+            rng_action=np.random.default_rng(0))
+        assert report.incident == "adaptation aborted: injected"
+        assert len(report.grad_norms) == 3
+        assert work.vector.tobytes() == entry
+        assert np.array_equal(weights, act(params, obs, mode="deterministic").weights)
 
     def test_reset_each_step_restores_params(self, two_asset_market):
         series = two_asset_market
@@ -506,15 +529,18 @@ class TestRunPilot:
             assert np.array_equal(got.weights, want.weights)
 
     def test_caller_params_never_mutated(self, two_asset_market):
+        # adaptation writes its working copy in place; the caller's vector keeps its bytes
         series = two_asset_market
         view = FeatureView(series)
-        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=8))
-        before = params.flat()
-        cfg = MpcConfig(horizon=2, epochs=2, step_size=0.05, variant="vanilla",
-                        value_scale=1e5)
-        run_pilot(series, params, PerfectForecaster(), cfg,
-                  env_config=EnvConfig(n_assets=2), seed=0, view=view)
-        assert np.array_equal(params.flat(), before)
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), mode="stochastic",
+                                           init_seed=8))
+        vector, before = params.vector, params.vector.tobytes()
+        for reset_mode in RESET_MODES:
+            cfg = MpcConfig(horizon=2, epochs=2, step_size=0.05, reset_mode=reset_mode,
+                            value_scale=1e5)
+            run_pilot(series, params, PerfectForecaster(), cfg,
+                      env_config=EnvConfig(n_assets=2), seed=0, view=view)
+            assert params.vector is vector and vector.tobytes() == before
 
     def test_perfect_foresight_beats_baseline_on_signal_market(self):
         series = _planner_market(seed=17, length=360, signal=0.005)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mpcfolio.policy import (
     PolicyConfig,
     PolicyParams,
     act,
+    actor_forward,
     actor_logits_taped,
     actor_weights_taped,
     checkpoint,
@@ -188,15 +191,60 @@ class TestCheckpoint:
         params.set_flat(flat)
         assert np.array_equal(params.flat(), flat)
 
-    def test_flat_from_fills_missing_arrays_with_zeros(self):
-        params = small_params(mode="stochastic")
-        assert np.array_equal(params.flat_from(params.values), params.flat())
-        actor = {n: a for n, a in params.values.items() if n.startswith("actor.")}
-        flat, offset = params.flat_from(actor), 0
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(n_assets=5, hidden=(16, 16)),
+         "d7506bd9b2c7b4219d33c555dcf258d538cc0e4207b05ee21b627ab53a6e6f61"),
+        (dict(n_assets=3, hidden=(8,), mode="stochastic", init_seed=4),
+         "cc5f29b7f8fe62ff25969fcbc47582634f5e44506115b9a87d09a9da8b646df1"),
+        (dict(n_assets=2, hidden=(6, 4), mode="stochastic", shared_trunk=True, init_seed=2),
+         "941f04addd274c5df70ca2f6e0dbb0c81b5ac8cd743e649594951c169c6f330a"),
+    ])
+    def test_fresh_checkpoint_file_is_pinned(self, tmp_path, kwargs, digest):
+        # the pretrain cache reads these files; layout, order and init draws are fixed
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(PolicyParams(PolicyConfig(**kwargs)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestFlatVector:
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_arrays_are_c_contiguous_views_actor_first(self, mode):
+        params = small_params(mode=mode, hidden=(16, 16))
+        offset = 0
         for name, arr in params.values.items():
-            block = flat[offset:offset + arr.size]
-            assert np.array_equal(block, arr.ravel() if name in actor else np.zeros(arr.size))
+            assert arr.flags.c_contiguous and np.shares_memory(arr, params.vector)
+            assert arr.ctypes.data == params.vector.ctypes.data + 8 * offset
+            assert name.startswith("actor.") == (offset < params.actor_size)
             offset += arr.size
+        assert offset == params.n_params()
+
+    def test_copy_shares_no_memory(self):
+        params = small_params(mode="stochastic")
+        other = params.copy()
+        assert not np.shares_memory(other.vector, params.vector)
+        other.values["actor.w0"][0, 0] += 1.0
+        assert params.values["actor.w0"][0, 0] != other.values["actor.w0"][0, 0]
+        flat = params.flat()
+        params.set_flat(flat)
+        assert not np.shares_memory(params.vector, flat)
+
+    @pytest.mark.parametrize("hidden", [(16, 16), (64, 64)])
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_outputs_independent_of_how_params_were_built(self, tmp_path, rng, mode, hidden):
+        fresh = PolicyParams(PolicyConfig(n_assets=5, hidden=hidden, mode=mode, init_seed=3))
+        round_trip = fresh.copy()
+        round_trip.set_flat(fresh.flat())
+        save_checkpoint(fresh, tmp_path / "ckpt.json")
+        loaded = load_checkpoint(tmp_path / "ckpt.json")
+        x = rng.standard_normal((7, 55))
+        z = rng.standard_normal((7, 6)) if mode == "stochastic" else None
+        ref = fresh
+        for other in (fresh.copy(), round_trip, loaded):
+            for row in x:
+                assert value(other, row) == value(ref, row)
+                assert act(other, row, mode="deterministic").weights.tobytes() == \
+                    act(ref, row, mode="deterministic").weights.tobytes()
+            assert actor_forward(other, x, z)[0].tobytes() == actor_forward(ref, x, z)[0].tobytes()
 
 
 def _rising_market(seed=0, n=1):
