@@ -49,19 +49,20 @@ def all_cash_weights(n_assets: int) -> np.ndarray:
 
 def validate_weights(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NumericError("non-finite weight vector")
-    if np.any(w < -WEIGHT_NEG_TOL):
+    if w.min() < -WEIGHT_NEG_TOL:
         raise NumericError(f"negative weight beyond tolerance: min={w.min()}")
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise NumericError(f"weights sum to {w.sum()}, not 1")
+    total = w.sum()
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise NumericError(f"weights sum to {total}, not 1")
     return np.maximum(w, 0.0)
 
 
 def softmax_weights(a: np.ndarray) -> np.ndarray:
     """Numerically stable softmax onto the simplex; NaN input is rejected."""
     a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError("non-finite action vector")
     e = np.exp(a - a.max())
     return e / e.sum()
@@ -81,7 +82,7 @@ def step(state: PortfolioState, target: np.ndarray, price_relatives: np.ndarray,
     renormalized to the simplex. Reward is the raw value change.
     """
     rel = np.asarray(price_relatives, dtype=np.float64)
-    if not np.all(np.isfinite(rel)) or np.any(rel <= 0):
+    if not np.isfinite(rel).all() or rel.min() <= 0:
         raise DataError(f"price relatives must be finite and > 0, got {rel}")
     target = validate_weights(target)
     prev = validate_weights(state.weights)

@@ -37,10 +37,6 @@ class NumericError(MpcfolioError):
     """A forward or backward pass produced non-finite values."""
 
 
-class TapeLifecycleError(MpcfolioError):
-    """A recorded objective was differentiated more than once."""
-
-
 class ShapeError(MpcfolioError):
     """Parameter snapshot does not match the target architecture."""
 

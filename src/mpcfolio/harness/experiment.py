@@ -164,16 +164,18 @@ def run_experiment(config: ExperimentConfig, out_dir, use_sweep: bool = True) ->
     variants, horizons, r2s = _axes(config, use_sweep)
     seeds = list(config.raw["seeds"])
 
-    base_forecasters = {h: build_base_forecaster(config, series, h) for h in set(horizons)}
-    _check_coverage(base_forecasters[max(horizons)], series, max(horizons))
+    # one base forecaster serves every horizon: a ridge fit at the largest H holds
+    # each smaller fit's (asset, h) models, and every reader asks for at most its own H
+    base = build_base_forecaster(config, series, max(horizons))
+    _check_coverage(base, series, max(horizons))
     forecasters, calibrations = {}, []
     for h in sorted(set(horizons)):
         for r2 in r2s:
             if r2 is None:
-                forecasters[(h, None)] = base_forecasters[h]
+                forecasters[(h, None)] = base
                 continue
             cheat = CheatForecaster.calibrate(
-                base_forecasters[h], series, r2, h,
+                base, series, r2, h,
                 split=config.raw["cheat"]["calibration_split"],
                 context_window=config.raw["forecast"]["context_window"],
             )
@@ -202,7 +204,7 @@ def run_experiment(config: ExperimentConfig, out_dir, use_sweep: bool = True) ->
                                     value_scale=env_config.initial_value)
             if cfg.noise_sigma > 0 and h not in noise_calibs:
                 noise_calibs[h] = fit_noise_calibration(
-                    base_forecasters[h], series, h,
+                    base, series, h,
                     normalizer=view.normalizer("train"), split="train")
 
     jobs = [

@@ -14,9 +14,8 @@ names the allowed combinations for config validation.
 Because allocations do not move prices, imagined states never depend on the
 actions taken, which is what makes the phase-1 cache valid across epochs and
 lets `planner_objective` score all K x H imagined steps as array ops with a
-hand-written reverse pass. `particle_return` and `risk_objective` build the same
-objective on the scalar tape; they remain only as the reference its tests
-compare against.
+hand-written reverse pass. Its tests check it against central finite
+differences and hand-computed returns.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .env import EnvConfig, PortfolioState, all_cash_weights, step
 from .errors import ConfigError, NumericError
-from .forecast import NoiseCalibration, ParticlePath, build_trajectory, perturb
+from .forecast import NoiseCalibration, build_trajectory, perturb
 from .marketdata import FeatureView, MarketSeries
-from .policy import PolicyParams, act, actor_backward, actor_forward, actor_weights_taped, value
+from .policy import PolicyParams, act, actor_backward, actor_forward, value
 
 VARIANTS = ("vanilla", "noise_only", "noise_lambda")
 RESET_MODES = ("persist", "reset_each_step")
@@ -127,62 +125,6 @@ def imagined_reward(value_, prev_weights, weights, predicted_relatives, fee_rate
     delta = fee_rate * value_ * float(np.abs(w - prev).sum())
     rho = float(np.dot(w[1:], rel - 1.0))
     return (value_ - delta) * (1.0 + rho) - value_
-
-
-def particle_return(leaves, params, state0_flat, particle: ParticlePath,
-                    prev_weights, value0: float, bootstrap: float,
-                    fee_rate: float, discount: float,
-                    action_noise=None, particle_index: int = 0) -> ad.Node:
-    """Discounted imagined return of one particle as a differentiable scalar.
-
-    Step 0 acts on the real observed state; later steps act on the cached
-    imagined states. The running value and weights drift through the particle's
-    relatives; the terminal bootstrap enters as a detached constant.
-    """
-    horizon = particle.relatives.shape[0]
-    v = value0
-    prev = np.asarray(prev_weights, dtype=np.float64)
-    terms = []
-    gamma_pow = 1.0
-    for h in range(horizon):
-        x = state0_flat if h == 0 else particle.states[h - 1].ravel()
-        z = action_noise[h] if action_noise is not None else None
-        w = actor_weights_taped(leaves, params, x, z)
-        rel = particle.relatives[h]
-        relm1_full = np.concatenate(([0.0], rel - 1.0))
-        rel_full = np.concatenate(([1.0], rel))
-
-        turnover = ad.vsum(ad.absolute(ad.sub(w, prev)))
-        delta = ad.mul(ad.mul(turnover, v), fee_rate)
-        rho = ad.dot(w, relm1_full)
-        v_new = ad.mul(ad.sub(v, delta), ad.add(rho, 1.0))
-        if not np.isfinite(v_new.value):
-            raise NumericError(
-                f"non-finite imagined value (particle {particle_index}, step {h})")
-        reward = ad.sub(v_new, v)
-        terms.append(ad.mul(reward, gamma_pow))
-
-        drifted = ad.mul(w, rel_full)
-        prev = ad.div(drifted, ad.vsum(drifted))
-        v = v_new
-        gamma_pow *= discount
-    return ad.add(ad.add_n(terms), gamma_pow * bootstrap)
-
-
-def risk_objective(particle_returns, risk_lambda: float, eps_num: float) -> ad.Node:
-    """Mean return minus lambda times downside semi-deviation across particles.
-
-    With lambda == 0 the penalty subgraph is skipped entirely, so the result
-    reduces exactly (bitwise) to the plain particle mean.
-    """
-    k = float(len(particle_returns))
-    mean = ad.div(ad.add_n(particle_returns), k)
-    if risk_lambda == 0.0:
-        return mean
-    downs = [ad.powc(ad.clip_above_zero(ad.sub(j, mean)), 2) for j in particle_returns]
-    downside_var = ad.div(ad.add_n(downs), k)
-    penalty = ad.mul(ad.sqrt(ad.add(downside_var, eps_num)), risk_lambda)
-    return ad.sub(mean, penalty)
 
 
 @dataclass

@@ -8,10 +8,12 @@ by reparameterization, so sampled allocations stay differentiable.
 
 Parameters live in one contiguous float64 vector, which is also the
 checkpoint format; each named array is a C-contiguous view into it, and the
-actor's arrays come first, so the actor is one prefix slice. The planner
-differentiates the batched actor pass through its hand-written reverse
-(`actor_forward`, `actor_backward`) into one flat actor gradient; pretraining
-still records its losses on the tape in `autodiff`.
+actor's arrays come first, so the actor is one prefix slice. Every gradient
+is written out by hand: the planner differentiates the batched actor pass
+(`actor_forward`, `actor_backward`) into one flat actor gradient, and the two
+pretrainers differentiate their single-sample losses (`_forward`,
+`_backward`) into a gradient vector with the parameters' layout, which Adam
+applies in place.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .env import EnvConfig, PortfolioState, all_cash_weights, softmax_weights, step
 from .errors import ConfigError, NumericError, ShapeError, TrainingError
 from .marketdata import FeatureView, MarketSeries, StateFeatures
@@ -293,74 +294,6 @@ def actor_backward(params: PolicyParams, acts: list, weights: np.ndarray,
     return np.concatenate(parts[::-1])
 
 
-# -- taped forward passes -----------------------------------------------------
-
-
-def make_leaves(params: PolicyParams, scope: str = "actor") -> dict:
-    """Differentiable views of the parameters; scope 'actor', 'critic' or 'all'."""
-    if scope == "all":
-        names = params.names
-    else:
-        names = [n for n in params.names if n.startswith(scope + ".")]
-    return {n: ad.leaf(params.values[n]) for n in names}
-
-
-def _pget(leaves: dict, params: PolicyParams, name: str):
-    return leaves.get(name, params.values[name])
-
-
-def trunk_taped(leaves, params, prefix, x):
-    h = x
-    for i in range(len(params.config.hidden)):
-        h = ad.tanh(ad.affine(_pget(leaves, params, f"{prefix}.w{i}"),
-                              _pget(leaves, params, f"{prefix}.b{i}"), h))
-    return h
-
-
-def actor_logits_taped(leaves, params, x):
-    h = trunk_taped(leaves, params, "actor", x)
-    return ad.affine(_pget(leaves, params, "actor.head_w"),
-                     _pget(leaves, params, "actor.head_b"), h)
-
-
-def actor_weights_taped(leaves, params, x, z=None):
-    """Taped allocation; pass `z` draws to sample by reparameterization."""
-    logits = actor_logits_taped(leaves, params, x)
-    if z is not None:
-        std = ad.exp(_pget(leaves, params, "actor.log_std"))
-        logits = ad.add(logits, ad.mul(std, z))
-    return ad.softmax(logits)
-
-
-def value_taped(leaves, params, x):
-    prefix = "actor" if params.config.shared_trunk else "critic"
-    h = trunk_taped(leaves, params, prefix, x)
-    out = ad.affine(_pget(leaves, params, "critic.head_w"),
-                    _pget(leaves, params, "critic.head_b"), h)
-    return ad.vsum(out)
-
-
-def _leaf_grads(leaves: dict, params: PolicyParams) -> np.ndarray:
-    """Leaf gradients aligned with the flat vector; arrays without one get 0."""
-    parts = []
-    for name, arr in params.values.items():
-        node = leaves.get(name)
-        if node is not None and node.grad is not None:
-            parts.append(np.asarray(node.grad, dtype=np.float64).ravel())
-        else:
-            parts.append(np.zeros(arr.size))
-    return np.concatenate(parts)
-
-
-def grad(objective: ad.Node, leaves: dict, params: PolicyParams) -> np.ndarray:
-    """Reverse-mode gradient aligned with the flat view; non-leaf entries are 0."""
-    objective.backward()
-    g = _leaf_grads(leaves, params)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient")
-    return g
-
-
 # -- checkpointing -------------------------------------------------------------
 
 
@@ -412,21 +345,38 @@ def load_checkpoint(path) -> PolicyParams:
 
 
 class _Adam:
-    """Adam over the whole flat vector; the update is elementwise, written in place."""
+    """Adam over the whole flat vector, updated in place.
+
+    Each update repeats the operations of the textbook form, in its order,
+    through two preallocated work rows instead of fresh arrays.
+    """
 
     def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._work = np.empty((2, size))
 
     def update(self, params: PolicyParams, g: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        mhat = self.m / (1 - self.beta1 ** self.t)
-        vhat = self.v / (1 - self.beta2 ** self.t)
-        params.vector -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        a, b = self._work
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        np.multiply(g, 1 - self.beta1, out=a)
+        self.m *= self.beta1
+        self.m += a
+        np.multiply(g, 1 - self.beta2, out=a)
+        a *= g
+        self.v *= self.beta2
+        self.v += a
+        # vector -= (lr * mhat) / (sqrt(vhat) + eps)
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=a)
+        a *= self.lr
+        a /= b
+        params.vector -= a
 
 
 class _AdvantageNorm:
@@ -496,7 +446,9 @@ def pretrain(series: MarketSeries, env_config: EnvConfig,
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xAC]))
     opt = _Adam(params.n_params(), lr=lr)
+    grads = PolicyParams(config, np.zeros(params.n_params()))  # laid out like params
     scale = env_config.initial_value
+    fee = env_config.fee_rate
     adv_norm = _AdvantageNorm()
 
     best_score = mean_train_reward(series, params, env_config, view=view)
@@ -505,18 +457,28 @@ def pretrain(series: MarketSeries, env_config: EnvConfig,
     for _ in range(epochs):
         state = PortfolioState(env_config.initial_value, all_cash_weights(series.n_assets), start)
         for t in range(start, stop - 1):
-            x = view.state(t).flat()
+            rel = series.relatives(t)
+            acts = _forward(params, "actor", "actor.head", view.state(t).flat())
+            v_next = value(params, view.state(t + 1).flat()) if t + 1 < stop - 1 else 0.0
             if algo == "stochastic-ac":
-                loss, exec_weights = _stochastic_step(
-                    params, x, series, view, t, stop, state, env_config,
-                    rng, gamma, scale, value_coef, entropy_coef, opt, adv_norm)
+                z = rng.standard_normal(config.action_dim)
+                sampled = acts[-1] + np.exp(params.values["actor.log_std"]) * z
+                next_state, reward = step(state, softmax_weights(sampled), rel, fee)
+                # transitions are action-independent, so the mean action's reward from
+                # the same portfolio state is an exact counterfactual baseline
+                _, reward_mean = step(state, softmax_weights(acts[-1]), rel, fee)
+                adv = adv_norm.update((reward - reward_mean) / scale)
+                loss = _stochastic_loss(params, grads, acts, sampled, adv,
+                                        reward / scale + gamma * v_next,
+                                        value_coef, entropy_coef)
             else:
-                loss, exec_weights = _deterministic_step(
-                    params, x, series, view, t, stop, state, env_config,
-                    gamma, scale, value_coef, opt)
+                next_state, reward = step(state, softmax_weights(acts[-1]), rel, fee)
+                loss = _deterministic_loss(params, grads, acts, state, rel, scale, fee,
+                                           reward / scale + gamma * v_next, value_coef)
+            opt.update(params, grads.vector)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at train step t={t}")
-            state, _ = step(state, exec_weights, series.relatives(t), env_config.fee_rate)
+            state = next_state
         score = mean_train_reward(series, params, env_config, view=view)
         if score > best_score:
             best_score = score
@@ -526,63 +488,115 @@ def pretrain(series: MarketSeries, env_config: EnvConfig,
     return params
 
 
-def _stochastic_step(params, x, series, view, t, stop, state, env_config,
-                     rng, gamma, scale, value_coef, entropy_coef, opt, adv_norm):
-    leaves = make_leaves(params, "all")
-    mean_node = actor_logits_taped(leaves, params, x)
-    std = np.exp(params.values["actor.log_std"])
-    z = rng.standard_normal(params.config.action_dim)
-    sampled = mean_node.value + std * z
-    exec_weights = softmax_weights(sampled)
-
-    # transitions are action-independent, so the mean action's reward from the
-    # same portfolio state is an exact counterfactual baseline for the sample
-    _, reward = step(state, exec_weights, series.relatives(t), env_config.fee_rate)
-    _, reward_mean = step(state, softmax_weights(mean_node.value),
-                          series.relatives(t), env_config.fee_rate)
-    adv = adv_norm.update((reward - reward_mean) / scale)
-    r_norm = reward / scale
-    v_next = value(params, view.state(t + 1).flat()) if t + 1 < stop - 1 else 0.0
-    target = r_norm + gamma * v_next
-
-    log_std_node = _pget(leaves, params, "actor.log_std")
-    std_node = ad.exp(log_std_node)
-    diff = ad.div(ad.sub(sampled, mean_node), std_node)
-    log_prob = ad.sub(ad.mul(ad.vsum(ad.mul(diff, diff)), -0.5), ad.vsum(log_std_node))
-    v_node = value_taped(leaves, params, x)
-    critic_loss = ad.powc(ad.sub(v_node, target), 2)
-    loss = ad.add_n([
-        ad.mul(log_prob, -adv),
-        ad.mul(critic_loss, value_coef),
-        ad.mul(ad.vsum(log_std_node), -entropy_coef),
-    ])
-    loss.backward()
-    opt.update(params, _leaf_grads(leaves, params))
-    return float(loss.value), exec_weights
+# The pretraining losses are single-sample and differentiated by hand. Their
+# reverse passes fix which floating-point operations run and in what order,
+# because tests pin the pretrained vectors byte for byte: weight gradients are
+# outer products, input gradients W.T @ g, and a parameter reached by several
+# paths sums their terms in one fixed order.
 
 
-def _deterministic_step(params, x, series, view, t, stop, state, env_config,
-                        gamma, scale, value_coef, opt):
-    leaves = make_leaves(params, "all")
-    w_node = actor_weights_taped(leaves, params, x)
-    exec_weights = softmax_weights(actor_logits(params, x))
+def _forward(params: PolicyParams, trunk: str, head: str, x: np.ndarray) -> list:
+    """[x, hidden activations..., head output] for one flat observation.
 
-    rel = series.relatives(t)
+    `trunk` is the prefix of the hidden layers and `head` that of the output
+    layer ("actor.head" or "critic.head"). Nothing is checked for finiteness;
+    the caller checks the loss.
+    """
+    acts = [x]
+    for i in range(len(params.config.hidden)):
+        acts.append(np.tanh(params.values[f"{trunk}.w{i}"] @ acts[-1]
+                            + params.values[f"{trunk}.b{i}"]))
+    acts.append(params.values[f"{head}_w"] @ acts[-1] + params.values[f"{head}_b"])
+    return acts
+
+
+def _backward(params: PolicyParams, grads: PolicyParams, trunk: str, head: str,
+              acts: list, g: np.ndarray, add_to_trunk: bool = False) -> None:
+    """Reverse of `_forward` for the output gradient `g`, written into `grads`.
+
+    The head's gradient arrays are overwritten. The trunk's are too, unless
+    `add_to_trunk`: then this path's terms are added to those already there,
+    as for the actor's pass through a trunk shared with the critic.
+    """
+    out = grads.values
+    np.multiply(g[:, None], acts[-2], out=out[f"{head}_w"])
+    out[f"{head}_b"][...] = g
+    g = params.values[f"{head}_w"].T @ g
+    for i in reversed(range(len(acts) - 2)):
+        g = g * (1.0 - acts[i + 1] * acts[i + 1])
+        w, b = f"{trunk}.w{i}", f"{trunk}.b{i}"
+        if add_to_trunk:
+            out[w] += np.outer(g, acts[i])
+            out[b] += g
+        else:
+            np.multiply(g[:, None], acts[i], out=out[w])
+            out[b][...] = g
+        if i:
+            g = params.values[w].T @ g
+
+
+def _critic_loss(params: PolicyParams, grads: PolicyParams, x: np.ndarray,
+                 target: float, value_coef: float) -> float:
+    """value_coef * (V(x) - target)^2; writes the critic's gradient (and a shared trunk's)."""
+    trunk = "actor" if params.config.shared_trunk else "critic"
+    acts = _forward(params, trunk, "critic.head", x)
+    err = np.sum(acts[-1]) - target
+    _backward(params, grads, trunk, "critic.head", acts,
+              np.full(1, value_coef * 2 * err))
+    return err ** 2 * value_coef
+
+
+def _stochastic_loss(params: PolicyParams, grads: PolicyParams, acts: list,
+                     sampled: np.ndarray, adv: float, target: float,
+                     value_coef: float, entropy_coef: float) -> float:
+    """Score-function loss of one sampled action, plus the critic and entropy terms.
+
+    `acts` is the actor's `_forward` pass for the observation and `sampled`
+    the logits drawn from it. Returns the loss and writes its gradient into
+    `grads`.
+    """
+    log_std = params.values["actor.log_std"]
+    std = np.exp(log_std)
+    shift = sampled - acts[-1]
+    diff = shift / std
+    log_prob = np.sum(diff * diff) * -0.5 - np.sum(log_std)
+    critic = _critic_loss(params, grads, acts[0], target, value_coef)
+
+    # d loss / d log_prob is -adv; d/d diff of sum(diff * diff) is diff + diff
+    g_sq = -adv * -0.5 * diff
+    g_diff = g_sq + g_sq
+    g_std = -g_diff * shift / (std * std)
+    # log-std terms in fixed order: through std, then log_prob's -sum(log_std)
+    # (which gives +adv), then the entropy bonus
+    grads.values["actor.log_std"][...] = g_std * std + adv + -entropy_coef
+    _backward(params, grads, "actor", "actor.head", acts, -(g_diff / std),
+              add_to_trunk=params.config.shared_trunk)
+    return log_prob * -adv + critic + np.sum(log_std) * -entropy_coef
+
+
+def _deterministic_loss(params: PolicyParams, grads: PolicyParams, acts: list,
+                        state: PortfolioState, rel: np.ndarray, scale: float, fee: float,
+                        target: float, value_coef: float) -> float:
+    """Negative one-step reward of the mean allocation from `state`, plus the critic term.
+
+    The reward is the env step's in units of `scale`, differentiable in the
+    allocation. Returns the loss and writes its gradient into `grads`.
+    """
+    logits = acts[-1]
+    e = np.exp(logits - logits.max())
+    w = e / e.sum()
     relm1_full = np.concatenate(([0.0], rel - 1.0))
     v_norm = state.value / scale
-    fee = env_config.fee_rate
-    delta = ad.mul(ad.vsum(ad.absolute(ad.sub(w_node, state.weights))), fee * v_norm)
-    rho = ad.dot(w_node, relm1_full)
-    r_node = ad.sub(ad.mul(ad.sub(v_norm, delta), ad.add(rho, 1.0)), v_norm)
+    fee_value = fee * v_norm
+    turn = w - state.weights
+    kept = v_norm - np.sum(np.abs(turn)) * fee_value
+    grown = float(np.dot(w, relm1_full)) + 1.0
+    reward = kept * grown - v_norm
+    critic = _critic_loss(params, grads, acts[0], target, value_coef)
 
-    _, reward = step(state, exec_weights, rel, env_config.fee_rate)
-    r_norm = reward / scale
-    v_next = value(params, view.state(t + 1).flat()) if t + 1 < stop - 1 else 0.0
-    target = r_norm + gamma * v_next
-    v_node = value_taped(leaves, params, x)
-    critic_loss = ad.powc(ad.sub(v_node, target), 2)
-
-    loss = ad.add_n([ad.mul(r_node, -1.0), ad.mul(critic_loss, value_coef)])
-    loss.backward()
-    opt.update(params, _leaf_grads(leaves, params))
-    return float(loss.value), exec_weights
+    # loss = -reward: d/d kept is -grown, d/d grown is -kept
+    g_w = (grown * fee_value) * np.sign(turn) + -kept * relm1_full
+    g_logits = w * (g_w - np.dot(g_w, w))
+    _backward(params, grads, "actor", "actor.head", acts, g_logits,
+              add_to_trunk=params.config.shared_trunk)
+    return critic - reward

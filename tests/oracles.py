@@ -118,3 +118,56 @@ def slice_mean_features(close, t, intraday=None):
 def series_slice_mean_features(series, t):
     return slice_mean_features(series.close, t, (series.open, series.high, series.low,
                                                  series.adj_close))
+
+
+def central_difference(f, params, i, h=1e-5):
+    """(f(params + h e_i) - f(params - h e_i)) / 2h for a scalar function of PolicyParams."""
+    plus, minus = params.copy(), params.copy()
+    plus.vector[i] += h
+    minus.vector[i] -= h
+    return (f(plus) - f(minus)) / (2 * h)
+
+
+def validate_weights_oracle(w):
+    """`env.validate_weights` as first written, with NumPy's reduction wrappers."""
+    import numpy as np
+
+    from mpcfolio.env import WEIGHT_NEG_TOL, WEIGHT_SUM_TOL
+    from mpcfolio.errors import NumericError
+
+    w = np.asarray(w, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise NumericError("non-finite weight vector")
+    if np.any(w < -WEIGHT_NEG_TOL):
+        raise NumericError(f"negative weight beyond tolerance: min={w.min()}")
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise NumericError(f"weights sum to {w.sum()}, not 1")
+    return np.maximum(w, 0.0)
+
+
+def env_step_oracle(state, target, price_relatives, fee_rate):
+    """`env.step` as first written: (new value, drifted weights, t', reward).
+
+    The fast step must reproduce these bytes and raise the same errors.
+    """
+    import numpy as np
+
+    from mpcfolio.errors import DataError
+
+    rel = np.asarray(price_relatives, dtype=np.float64)
+    if not np.all(np.isfinite(rel)) or np.any(rel <= 0):
+        raise DataError(f"price relatives must be finite and > 0, got {rel}")
+    target = validate_weights_oracle(target)
+    prev = validate_weights_oracle(state.weights)
+
+    delta = fee_rate * state.value * float(np.abs(target - prev).sum())
+    rho = float(np.dot(target[1:], rel - 1.0))
+    new_value = (state.value - delta) * (1.0 + rho)
+    if new_value <= 0:
+        raise DataError(f"portfolio value would become non-positive ({new_value})")
+    reward = new_value - state.value
+
+    rel_full = np.concatenate(([1.0], rel))
+    drifted = target * rel_full
+    drifted = np.maximum(drifted / drifted.sum(), 0.0)
+    return new_value, drifted, state.t + 1, reward

@@ -1,4 +1,8 @@
-"""Minimal reverse-mode differentiation over numpy float64 values.
+"""Minimal reverse-mode differentiation over numpy float64 values, for tests.
+
+The package computes every gradient in closed form; this scalar tape is an
+independent reference for those hand-written passes. `planner_objective_tape`
+rebuilds the planner objective of `mpcfolio.pilot` on it, step by step.
 
 The operation set is fixed to what the planning objective needs: affine maps,
 tanh, fused softmax, exp/log/sqrt/pow, elementwise arithmetic with limited
@@ -12,7 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TapeLifecycleError
+
+class TapeLifecycleError(RuntimeError):
+    """A recorded objective was differentiated more than once."""
 
 
 def _unbroadcast(g, shape):
@@ -248,3 +254,70 @@ def softmax(a):
     if not isinstance(a, Node):
         return Node(s)
     return Node(s, (a,), lambda g: [s * (g - np.dot(g, s))])
+
+
+# -- the planner objective on the tape -----------------------------------------
+
+
+def _actor_weights(leaves, n_hidden, x, z):
+    h = x
+    for i in range(n_hidden):
+        h = tanh(affine(leaves[f"actor.w{i}"], leaves[f"actor.b{i}"], h))
+    logits = affine(leaves["actor.head_w"], leaves["actor.head_b"], h)
+    if z is not None:
+        logits = add(logits, mul(exp(leaves["actor.log_std"]), z))
+    return softmax(logits)
+
+
+def _particle_return(leaves, n_hidden, obs, states, relatives, prev, value0, bootstrap,
+                     fee_rate, discount, zs):
+    """Discounted imagined return of one particle; the bootstrap is a constant."""
+    v = value0
+    terms = []
+    gamma_pow = 1.0
+    for h in range(relatives.shape[0]):
+        x = obs if h == 0 else states[h - 1].ravel()
+        w = _actor_weights(leaves, n_hidden, x, None if zs is None else zs[h])
+        rel = relatives[h]
+        turnover = vsum(absolute(sub(w, prev)))
+        delta = mul(mul(turnover, v), fee_rate)
+        rho = dot(w, np.concatenate(([0.0], rel - 1.0)))
+        v_new = mul(sub(v, delta), add(rho, 1.0))
+        terms.append(mul(sub(v_new, v), gamma_pow))
+        drifted = mul(w, np.concatenate(([1.0], rel)))
+        prev = div(drifted, vsum(drifted))
+        v = v_new
+        gamma_pow *= discount
+    return add(add_n(terms), gamma_pow * bootstrap)
+
+
+def _risk_objective(returns, risk_lambda, eps_num):
+    """Particle mean minus lambda times the downside semi-deviation."""
+    k = float(len(returns))
+    mean = div(add_n(returns), k)
+    if risk_lambda == 0.0:
+        return mean
+    downs = [powc(clip_above_zero(sub(j, mean)), 2) for j in returns]
+    penalty = mul(sqrt(add(div(add_n(downs), k), eps_num)), risk_lambda)
+    return sub(mean, penalty)
+
+
+def planner_objective_tape(params, obs, states, relatives, prev_weights, value0, boots,
+                           fee_rate, discount, risk_lambda, eps_num, action_noise):
+    """(objective, particle returns, gradient over the flat vector) of
+    `mpcfolio.pilot.planner_objective`, built on the tape; only actor arrays
+    are leaves, so every other gradient entry is 0."""
+    leaves = {name: leaf(arr) for name, arr in params.values.items()
+              if name.startswith("actor.")}
+    n_hidden = len(params.config.hidden)
+    prev = np.asarray(prev_weights, dtype=np.float64)
+    returns = [_particle_return(leaves, n_hidden, obs, states[k], relatives[k], prev,
+                                value0, boots[k], fee_rate, discount,
+                                None if action_noise is None else action_noise[k])
+               for k in range(len(boots))]
+    objective = _risk_objective(returns, risk_lambda, eps_num)
+    objective.backward()
+    grads = [leaves[name].grad if name in leaves and leaves[name].grad is not None
+             else np.zeros(arr.shape) for name, arr in params.values.items()]
+    return (float(objective.value), np.array([float(r.value) for r in returns]),
+            np.concatenate([np.ravel(g) for g in grads]))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mpcfolio import autodiff as ad
-from mpcfolio.errors import TapeLifecycleError
+import tape as ad
+from tape import TapeLifecycleError
 
 
 def fd_grad(f, x, h=1e-6):

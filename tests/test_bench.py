@@ -5,15 +5,20 @@ The benchmark reads package names from outside `src/` (module attributes,
 it fails here instead of only in a benchmark run. The pilot tests also check
 what a benchmark run relies on next: set-up is deterministic, and one prepared
 unit gives the same bytes when run twice, which fails if an episode writes
-into the policy it was given.
+into the policy it was given. The last tests run the benchmark command
+itself, as a benchmark run does, for a fraction of a second.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -61,3 +66,19 @@ def test_sweep_unit_passes_gate(bench, tmp_path):
     checks.check_units(gate, [unit])
     assert gate.ok, gate.failures
     assert unit.steps > 0 and unit.failed == 0 and unit.curves
+
+
+@pytest.mark.parametrize("name, trace", [("vanilla-h5e10", 1), ("particles-k8", 1),
+                                         ("sweep-w2", 1), ("vanilla-h5e10", 0)])
+def test_bench_command_passes(name, trace):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", name, "--seed", "1",
+         "--seconds", "0.1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for metric in spec["per_layer" if trace else "end_to_end"]:
+        got = last["metrics"][metric["name"]]
+        assert got["unit"] == metric["unit"] and got["value"] is not None, metric["name"]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RawFeatureView, make_series
+from oracles import env_step_oracle
 from mpcfolio.env import (
     EnvConfig,
     PortfolioState,
@@ -117,6 +118,60 @@ class TestStep:
             new, _ = step(state, target, rel, fee)
             values.append(new.value)
         assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
+
+
+FAULTS = (None, "nan_target", "negative_target", "off_simplex_target", "nan_prev",
+          "negative_prev", "nan_relative", "zero_relative", "ruinous_fee")
+
+
+@st.composite
+def step_inputs(draw):
+    """A step's inputs, valid or broken in exactly one named way."""
+    n = draw(st.integers(1, 6))
+    logits = st.lists(st.floats(-30, 30), min_size=n + 1, max_size=n + 1)
+    target = softmax_weights(np.array(draw(logits)))
+    prev = softmax_weights(np.array(draw(logits)))
+    rel = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n)))
+    value = draw(st.floats(1e-3, 1e9))
+    fee = draw(st.floats(0.0, 0.999))
+    fault = draw(st.sampled_from(FAULTS))
+    j = draw(st.integers(0, n))
+    size = draw(st.floats(1e-13, 10.0))
+    if fault == "nan_target":
+        target[j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif fault == "negative_target":
+        target[j] = -size
+    elif fault == "off_simplex_target":
+        target = target * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * size)
+    elif fault == "nan_prev":
+        prev[j] = np.nan
+    elif fault == "negative_prev":
+        prev[j] = -size
+    elif fault == "nan_relative":
+        rel[j % n] = draw(st.sampled_from([np.nan, np.inf]))
+    elif fault == "zero_relative":
+        rel[j % n] = draw(st.sampled_from([0.0, -size]))
+    elif fault == "ruinous_fee":
+        target, prev, fee = all_cash_weights(n), np.eye(n + 1)[-1], 0.999
+        rel[-1] = 1e-3
+    return PortfolioState(value, prev, 7), target, rel, fee
+
+
+class TestStepMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(step_inputs())
+    def test_same_bytes_and_same_errors(self, inputs):
+        state, target, rel, fee = inputs
+        try:
+            want = env_step_oracle(state, target, rel, fee)
+        except Exception as exc:  # noqa: BLE001 - the fast step must raise the same
+            with pytest.raises(type(exc)) as got:
+                step(state, target, rel, fee)
+            assert str(got.value) == str(exc)
+            return
+        new, reward = step(state, target, rel, fee)
+        assert (new.value, new.t, reward) == want[0:1] + want[2:]
+        assert new.weights.tobytes() == want[1].tobytes()
 
 
 class TestRunEpisode:

@@ -8,7 +8,13 @@ from mpcfolio.errors import ConfigError, CoverageError, NumericError
 from mpcfolio.forecast import RidgeForecaster, collect_forecast_grid, r_squared
 from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
 from mpcfolio.harness.config import ExperimentConfig
-from mpcfolio.harness.experiment import build_series, regenerate_reports, run_experiment
+from mpcfolio.harness.experiment import (
+    _cell_sort_key,
+    build_series,
+    regenerate_reports,
+    run_experiment,
+    write_artifacts,
+)
 from mpcfolio.harness.svgplot import render_curves
 from mpcfolio.pilot import run_pilot
 
@@ -187,6 +193,56 @@ class TestRunExperiment:
         with pytest.raises(CoverageError, match="missing forecast cells"):
             run_experiment(cfg, tmp_path / "out", use_sweep=True)
         assert not any((tmp_path / "out").iterdir())
+
+    def test_one_ridge_fit_serves_every_horizon(self, tmp_path):
+        # a sweep over H=2 and H=5 must write the bytes of the two one-horizon
+        # sweeps, whose forecasters are ridge fits at H=2 and at H=5
+        variants = ["vanilla", "noise_lambda"]
+
+        def config(horizons):
+            cfg = _quick_config([0, 1], sweep_r2=[0.6], forecast_kind="ridge")
+            cfg.raw["forecast"]["lambda_reg"] = 10.0
+            cfg.raw["mpc"].update(particles=2, noise_sigma=0.3, risk_lambda=0.5)
+            cfg.raw["sweep"].update(horizon=horizons, variant=variants)
+            return cfg
+
+        parts = {h: run_experiment(config([h]), tmp_path / f"h{h}") for h in (2, 5)}
+        run_experiment(config([2, 5]), tmp_path / "both")
+        groups = {(a["variant"], a["horizon"]): a
+                  for part in parts.values() for a in part["aggregates"][1:]}
+        expected = dict(
+            parts[2], config=config([2, 5]).raw,
+            cells=sorted(parts[2]["cells"] + parts[5]["cells"], key=_cell_sort_key),
+            aggregates=parts[2]["aggregates"][:1] + [groups[(v, h)] for v in variants
+                                                     for h in (2, 5)],
+            calibrations=parts[2]["calibrations"] + parts[5]["calibrations"])
+        assert all(c["error"] is None for c in expected["cells"])
+        write_artifacts(expected, tmp_path / "expected")
+        for name in ("results.json", "table.txt", "curves.svg"):
+            assert ((tmp_path / "both" / name).read_bytes()
+                    == (tmp_path / "expected" / name).read_bytes())
+
+    def test_external_file_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+        from mpcfolio.forecast import ExternalForecastSource
+
+        series = build_series(_quick_config([0]))
+        path = write_external_forecasts(tmp_path / "fc.csv", series, horizons=(1, 2, 3))
+        parsed = []
+        from_csv = ExternalForecastSource.from_csv
+
+        def counting(cls, csv_path):
+            parsed.append(csv_path)
+            return from_csv(csv_path)
+
+        monkeypatch.setattr(ExternalForecastSource, "from_csv", classmethod(counting))
+        cfg = _quick_config([0])
+        cfg.raw["forecast"] = {"kind": "external", "path": str(path),
+                               "lambda_reg": 1.0, "context_window": 30}
+        cfg.raw["sweep"]["horizon"] = [1, 2, 3]
+        results = run_experiment(cfg, tmp_path / "out", use_sweep=True)
+        assert len(results["cells"]) == 3
+        assert all(c["error"] is None for c in results["cells"])
+        assert parsed == [str(path)]
 
     def test_sweep_axes_and_calibrations(self, tmp_path):
         cfg = _quick_config([0], sweep_r2=[0.5, 1.0], forecast_kind="zero")

@@ -4,12 +4,10 @@ import threading
 import numpy as np
 import pytest
 
-from mpcfolio import autodiff as ad
 from mpcfolio.env import EnvConfig, run_episode, softmax_weights, step
 from mpcfolio.env import PortfolioState, all_cash_weights
 from mpcfolio.errors import ConfigError, NumericError
 from mpcfolio.forecast import (
-    ParticlePath,
     PerfectForecaster,
     ZeroForecaster,
     build_trajectory,
@@ -27,13 +25,12 @@ from mpcfolio.pilot import (
     _planner_pass,
     adapt_step,
     imagined_reward,
-    particle_return,
     planner_objective,
-    risk_objective,
     run_pilot,
 )
-from mpcfolio.policy import Agent, PolicyConfig, PolicyParams, act, grad, make_leaves
-from oracles import imagined_reward_oracle
+from mpcfolio.policy import Agent, PolicyConfig, PolicyParams, act, actor_forward
+from oracles import central_difference, imagined_reward_oracle
+from tape import planner_objective_tape
 
 
 class TestImaginedReward:
@@ -74,124 +71,169 @@ def _uniform_policy(n_assets=2, mode="deterministic"):
 
 
 class TestParticleReturn:
+    """One particle's discounted return, read off `planner_objective` at K=1."""
+
+    @staticmethod
+    def _return(relatives, value0, bootstrap, discount):
+        # uniform allocations and no fee
+        horizon = len(relatives)
+        obj, returns, _, _ = planner_objective(
+            _uniform_policy(), np.zeros(22), np.zeros((1, horizon, 2, 11)),
+            np.asarray(relatives, dtype=np.float64)[None], np.full(3, 1.0 / 3.0), value0,
+            np.array([bootstrap]), 0.0, discount, 0.0, 1e-8)
+        assert obj == returns[0]
+        return obj
+
     def test_hand_discounting(self):
         # uniform allocations, fee 0: rewards 100 then 40, bootstrap 8
-        params = _uniform_policy()
-        leaves = make_leaves(params, "actor")
-        relatives = np.array([[1.15, 1.15], [58.0 / 55.0, 58.0 / 55.0]])
-        part = ParticlePath(states=np.zeros((2, 2, 11)), relatives=relatives)
-        prev = np.full(3, 1.0 / 3.0)
-        node = particle_return(leaves, params, np.zeros(22), part, prev,
-                               value0=1000.0, bootstrap=8.0, fee_rate=0.0,
-                               discount=0.5)
+        relatives = [[1.15, 1.15], [58.0 / 55.0, 58.0 / 55.0]]
         # r0 = 1000 * (2/3)*0.15 = 100; V1 = 1100; r1 = 1100*(2/3)*(3/55) = 40
-        assert float(node.value) == pytest.approx(100 + 0.5 * 40 + 0.25 * 8, rel=1e-12)
+        assert self._return(relatives, 1000.0, 8.0, 0.5) == pytest.approx(
+            100 + 0.5 * 40 + 0.25 * 8, rel=1e-12)
 
     def test_no_motion_no_reward(self):
-        params = _uniform_policy()
-        leaves = make_leaves(params, "actor")
-        part = ParticlePath(states=np.zeros((3, 2, 11)), relatives=np.ones((3, 2)))
-        prev = np.full(3, 1.0 / 3.0)
-        node = particle_return(leaves, params, np.zeros(22), part, prev,
-                               value0=1.0, bootstrap=0.0, fee_rate=0.0, discount=1.0)
-        assert float(node.value) == 0.0
+        assert self._return(np.ones((3, 2)), 1.0, 0.0, 0.99) == 0.0
 
     def test_non_finite_rollout_names_particle_and_step(self):
-        params = _uniform_policy()
-        leaves = make_leaves(params, "actor")
-        relatives = np.array([[1.1, 1.1], [np.inf, 1.0]])
-        part = ParticlePath(states=np.zeros((2, 2, 11)), relatives=relatives)
-        prev = np.full(3, 1.0 / 3.0)
+        relatives = np.full((3, 2, 2), 1.1)
+        relatives[2, 1, 1] = np.nan
         with pytest.raises(NumericError, match=r"particle 2, step 1"):
-            particle_return(leaves, params, np.zeros(22), part, prev, 1.0, 0.0,
-                            0.0, 1.0, particle_index=2)
+            planner_objective(_uniform_policy(), np.zeros(22), np.zeros((3, 2, 2, 11)),
+                              relatives, np.full(3, 1.0 / 3.0), 1.0, np.zeros(3), 0.0,
+                              1.0, 0.0, 1e-8)
 
     def test_h1_zero_critic_is_first_reward(self):
-        params = _uniform_policy()
-        leaves = make_leaves(params, "actor")
-        part = ParticlePath(states=np.zeros((1, 2, 11)),
-                            relatives=np.array([[1.2, 0.9]]))
         prev = np.full(3, 1.0 / 3.0)
-        node = particle_return(leaves, params, np.zeros(22), part, prev,
-                               value0=1.0, bootstrap=0.0, fee_rate=0.0, discount=1.0)
         want = imagined_reward(1.0, prev, np.full(3, 1 / 3), np.array([1.2, 0.9]), 0.0)
-        assert float(node.value) == pytest.approx(want, rel=1e-12)
+        assert self._return([[1.2, 0.9]], 1.0, 0.0, 0.99) == pytest.approx(want, rel=1e-12)
 
 
 class TestRiskObjective:
-    def _nodes(self, vals):
-        return [ad.Node(float(v)) for v in vals]
+    """The risk objective over K=3 particles whose returns are set by hand.
+
+    With no price motion each return is the discounted bootstrap alone, and
+    discount 0.5 with doubled bootstraps gives exactly the wanted returns.
+    """
+
+    @staticmethod
+    def _objective(returns, risk_lambda, eps_num):
+        k = len(returns)
+        return planner_objective(
+            _uniform_policy(), np.zeros(22), np.zeros((k, 1, 2, 11)),
+            np.ones((k, 1, 2)), np.full(3, 1.0 / 3.0), 1.0, 2.0 * np.asarray(returns),
+            0.0, 0.5, risk_lambda, eps_num)
 
     def test_equal_returns_leave_epsilon_floor(self):
-        obj = risk_objective(self._nodes([5.0, 5.0, 5.0]), 2.0, 1e-8)
-        assert float(obj.value) == pytest.approx(5.0 - 2.0 * np.sqrt(1e-8), rel=1e-9)
+        obj = self._objective([5.0, 5.0, 5.0], 2.0, 1e-8)[0]
+        assert obj == pytest.approx(5.0 - 2.0 * np.sqrt(1e-8), rel=1e-9)
 
     def test_lambda_zero_is_mean(self):
-        obj = risk_objective(self._nodes([1.0, 2.0, 3.0]), 0.0, 1e-8)
-        assert float(obj.value) == 2.0
+        assert self._objective([1.0, 2.0, 3.0], 0.0, 1e-8)[0] == 2.0
 
     def test_hand_value(self):
-        obj = risk_objective(self._nodes([1.0, 2.0, 3.0]), 3.0, 1e-300)
-        assert float(obj.value) == pytest.approx(2.0 - np.sqrt(3.0), rel=1e-9)
+        obj, returns, downside_var, _ = self._objective([1.0, 2.0, 3.0], 3.0, 1e-300)
+        assert list(returns) == [1.0, 2.0, 3.0]
+        assert downside_var == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert obj == pytest.approx(2.0 - np.sqrt(3.0), rel=1e-9)
         assert 2.0 - np.sqrt(3.0) == pytest.approx(0.267949, abs=1e-6)
 
     def test_monotone_in_lambda(self):
         vals = [1.0, 2.0, 4.0]
-        objs = [float(risk_objective(self._nodes(vals), lam, 1e-12).value)
-                for lam in (0.0, 0.5, 1.0, 2.0, 5.0)]
+        objs = [self._objective(vals, lam, 1e-12)[0] for lam in (0.0, 0.5, 1.0, 2.0, 5.0)]
         assert all(a > b for a, b in zip(objs, objs[1:]))  # D > 0: strictly decreasing
 
-    def test_gradient_flows_through_all_particles(self):
-        nodes = self._nodes([1.0, 2.0, 4.0])
-        obj = risk_objective(nodes, 1.5, 1e-10)
-        obj.backward()
-        assert all(n.grad is not None for n in nodes)
+    def test_gradient_flows_through_all_particles(self, rng):
+        # moving any one particle's prices moves the actor gradient
+        k, horizon, n = 3, 2, 2
+        params = PolicyParams(PolicyConfig(n_assets=n, hidden=(8,), init_seed=4))
+        obs = rng.standard_normal(n * 11)
+        states = 0.5 * rng.standard_normal((k, horizon, n, 11))
+        relatives = np.exp(0.05 * rng.standard_normal((k, horizon, n)))
+        prev = softmax_weights(rng.standard_normal(n + 1))
+
+        def grad(rel):
+            return planner_objective(params, obs, states, rel, prev, 1.0, np.zeros(k),
+                                     0.001, 0.9, 1.5, 1e-10)[3]
+
+        base = grad(relatives)
+        for j in range(k):
+            moved = relatives.copy()
+            moved[j] *= 1.01
+            assert not np.allclose(grad(moved), base, rtol=1e-6, atol=0.0)
 
 
-def _tape_objective(params, obs, states, relatives, prev, value0, boots, fee, discount,
-                    lam, eps, zs):
-    """Reference: the same objective and gradient built on the scalar tape."""
-    leaves = make_leaves(params, "actor")
-    rets = [particle_return(leaves, params, obs, ParticlePath(states[k], relatives[k]),
-                            prev, value0, boots[k], fee, discount,
-                            None if zs is None else zs[k], particle_index=k)
-            for k in range(len(boots))]
-    node = risk_objective(rets, lam, eps)
-    return float(node.value), np.array([float(r.value) for r in rets]), grad(node, leaves, params)
+def _returns_by_steps(params, obs, states, relatives, prev, value0, boots, fee, discount,
+                      zs):
+    """Each particle's return summed step by step from `imagined_reward`."""
+    k, horizon, _ = relatives.shape
+    out = []
+    for j in range(k):
+        value_, weights_prev, total = value0, prev, 0.0
+        for h in range(horizon):
+            x = obs if h == 0 else states[j, h - 1].ravel()
+            z = None if zs is None else zs[j, h][None]
+            w = actor_forward(params, x[None], z)[0][0]
+            reward = imagined_reward(value_, weights_prev, w, relatives[j, h], fee)
+            total += discount ** h * reward
+            value_ += reward
+            drifted = w * np.concatenate(([1.0], relatives[j, h]))
+            weights_prev = drifted / drifted.sum()
+        out.append(total + discount ** horizon * boots[j])
+    return np.array(out)
+
+
+def _planner_instances(rng, mode, horizon):
+    """(params, risk lambda, planner_objective arguments) over K = 1..8 particles."""
+    n = 2
+    for k in range(1, 9):
+        for lam in (0.0, 0.5, 2.0):
+            params = PolicyParams(PolicyConfig(n_assets=n, hidden=(8, 6), mode=mode,
+                                               init_seed=k))
+            params.set_flat(params.flat() + 0.3 * rng.standard_normal(params.n_params()))
+            obs = rng.standard_normal(n * 11)
+            states = 0.5 * rng.standard_normal((k, horizon, n, 11))
+            relatives = np.exp(0.05 * rng.standard_normal((k, horizon, n)))
+            prev = softmax_weights(rng.standard_normal(n + 1))
+            boots = rng.standard_normal(k)
+            zs = rng.standard_normal((k, horizon, n + 1)) if mode == "stochastic" else None
+            fee = float(rng.uniform(0.0, 0.3))
+            value0 = float(rng.uniform(0.5, 2.0))
+            yield params, lam, (obs, states, relatives, prev, value0, boots, fee, 0.97, lam,
+                                1e-8, zs)
 
 
 class TestPlannerObjective:
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
     @pytest.mark.parametrize("horizon", [1, 2, 5])
     def test_matches_tape_reference(self, rng, mode, horizon):
-        n = 2
-        for k in range(1, 9):
-            for lam in (0.0, 0.5, 2.0):
-                params = PolicyParams(PolicyConfig(n_assets=n, hidden=(8, 6), mode=mode,
-                                                   init_seed=k))
-                params.set_flat(params.flat() + 0.3 * rng.standard_normal(params.n_params()))
-                obs = rng.standard_normal(n * 11)
-                states = 0.5 * rng.standard_normal((k, horizon, n, 11))
-                relatives = np.exp(0.05 * rng.standard_normal((k, horizon, n)))
-                prev = softmax_weights(rng.standard_normal(n + 1))
-                boots = rng.standard_normal(k)
-                zs = rng.standard_normal((k, horizon, n + 1)) if mode == "stochastic" else None
-                fee = float(rng.uniform(0.0, 0.3))
-                value0 = float(rng.uniform(0.5, 2.0))
-                args = (obs, states, relatives, prev, value0, boots, fee, 0.97, lam, 1e-8, zs)
+        for params, _, args in _planner_instances(rng, mode, horizon):
+            obj, returns, downside_var, g = planner_objective(params, *args)
+            ref_obj, ref_returns, ref_g = planner_objective_tape(params, *args)
+            assert abs(obj - ref_obj) <= 1e-12 * abs(ref_obj)
+            assert np.allclose(returns, ref_returns, rtol=1e-12, atol=0.0)
+            down = np.minimum(ref_returns - ref_returns.mean(), 0.0)
+            assert downside_var == pytest.approx(np.mean(down ** 2), rel=1e-9, abs=1e-24)
+            assert np.max(np.abs(g - ref_g)) <= 1e-10 * np.max(np.abs(ref_g))
+            assert not g[params.actor_size:].any()
 
-                obj, returns, downside_var, g = planner_objective(params, *args)
-                ref_obj, ref_returns, ref_g = _tape_objective(params, *args)
-                assert abs(obj - ref_obj) <= 1e-12 * abs(ref_obj)
-                assert np.allclose(returns, ref_returns, rtol=1e-12, atol=0.0)
-                down = np.minimum(ref_returns - ref_returns.mean(), 0.0)
-                assert downside_var == pytest.approx(np.mean(down ** 2), rel=1e-9, abs=1e-24)
-                assert np.max(np.abs(g - ref_g)) <= 1e-10 * np.max(np.abs(ref_g))
-                offset = 0
-                for name, arr in params.values.items():
-                    if name.startswith("critic."):
-                        assert np.all(g[offset:offset + arr.size] == 0.0)
-                    offset += arr.size
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("horizon", [1, 2, 5])
+    def test_matches_finite_differences(self, rng, mode, horizon):
+        for params, lam, args in _planner_instances(rng, mode, horizon):
+            obj, returns, downside_var, g = planner_objective(params, *args)
+            ref_returns = _returns_by_steps(params, *args[:8], args[-1])
+            assert np.allclose(returns, ref_returns, rtol=1e-12, atol=0.0)
+            down = np.minimum(ref_returns - ref_returns.mean(), 0.0)
+            assert downside_var == pytest.approx(np.mean(down ** 2), rel=1e-9, abs=1e-24)
+            ref_obj = ref_returns.mean() - lam * np.sqrt(np.mean(down ** 2) + 1e-8)
+            assert abs(obj - ref_obj) <= 1e-12 * abs(ref_obj)
+            assert not g[params.actor_size:].any()
+
+            # central differences on sampled actor coordinates, as in criterion c2
+            floor = 1e-6 * max(1.0, float(np.max(np.abs(g))))
+            for i in rng.choice(params.actor_size, size=6, replace=False):
+                fd = central_difference(lambda p: planner_objective(p, *args)[0], params, i)
+                assert abs(fd - g[i]) / max(abs(fd), abs(g[i]), floor) < 1e-4
 
     def test_non_finite_value_names_particle_and_step(self):
         params = _uniform_policy()

@@ -4,26 +4,29 @@ import numpy as np
 import pytest
 
 from conftest import make_jittered_series
-from mpcfolio import autodiff as ad
-from mpcfolio.env import EnvConfig
+from mpcfolio.env import EnvConfig, PortfolioState, softmax_weights
 from mpcfolio.errors import ConfigError, ShapeError
+from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
+from mpcfolio.pilot import planner_objective
 from mpcfolio.policy import (
     PolicyConfig,
     PolicyParams,
+    _backward,
+    _deterministic_loss,
+    _forward,
+    _stochastic_loss,
     act,
+    actor_backward,
     actor_forward,
-    actor_logits_taped,
-    actor_weights_taped,
     checkpoint,
-    grad,
     load_checkpoint,
-    make_leaves,
     mean_train_reward,
     pretrain,
     restore,
     save_checkpoint,
     value,
 )
+from oracles import central_difference
 
 
 def small_params(mode="deterministic", seed=0, n_assets=2, hidden=(8, 8)):
@@ -97,69 +100,72 @@ class TestValue:
         assert value(params, x) != before
 
 
+def _planner_args(rng, params, lam=0.0):
+    """Random `planner_objective` arguments after params: 3 particles, 2 steps."""
+    n, k, horizon = params.config.n_assets, 3, 2
+    zs = (rng.standard_normal((k, horizon, n + 1))
+          if params.config.mode == "stochastic" else None)
+    return (rng.standard_normal(n * 11), 0.5 * rng.standard_normal((k, horizon, n, 11)),
+            np.exp(0.05 * rng.standard_normal((k, horizon, n))),
+            softmax_weights(rng.standard_normal(n + 1)), 1.0, rng.standard_normal(k),
+            0.001, 0.97, lam, 1e-8, zs)
+
+
 class TestGrad:
     def test_logit_sum_matches_fd(self, rng):
+        # the pretrainers' single-sample pass, with a unit gradient on every logit
         params = small_params(seed=6)
         params.set_flat(params.flat() + 0.1 * rng.standard_normal(params.n_params()))
         x = rng.standard_normal(22)
+        grads = PolicyParams(params.config, np.zeros(params.n_params()))
+        _backward(params, grads, "actor", "actor.head",
+                  _forward(params, "actor", "actor.head", x), np.ones(3))
+        g = grads.vector
 
         def objective(p):
-            leaves = make_leaves(p, "actor")
-            return ad.vsum(actor_logits_taped(leaves, p, x)), leaves
+            return float(np.sum(_forward(p, "actor", "actor.head", x)[-1]))
 
-        node, leaves = objective(params)
-        g = grad(node, leaves, params)
-
-        flat0 = params.flat()
-        h = 1e-5
-        idx = rng.choice(params.n_params(), size=30, replace=False)
-        for i in idx:
-            fp, fm = flat0.copy(), flat0.copy()
-            fp[i] += h
-            fm[i] -= h
-            pp, pm = params.copy(), params.copy()
-            pp.set_flat(fp)
-            pm.set_flat(fm)
-            fd = (float(objective(pp)[0].value) - float(objective(pm)[0].value)) / (2 * h)
+        for i in rng.choice(params.actor_size, size=30, replace=False):
+            fd = central_difference(objective, params, i)
             denom = max(abs(fd), abs(g[i]), 1e-8)
             assert abs(fd - g[i]) / denom < 1e-4
 
-    def test_detached_objective_has_zero_grad(self, rng):
-        params = small_params(seed=2)
-        leaves = make_leaves(params, "actor")
-        bootstrap = value(params, rng.standard_normal(22))  # plain float, detached
-        node = ad.add_n([ad.Node(bootstrap)])
-        g = grad(node, leaves, params)
-        assert np.all(g == 0.0)
+    def test_actor_backward_matches_fd(self, rng):
+        for mode in ("deterministic", "stochastic"):
+            params = small_params(mode=mode, seed=6)
+            params.set_flat(params.flat() + 0.1 * rng.standard_normal(params.n_params()))
+            x = rng.standard_normal((4, 22))
+            z = rng.standard_normal((4, 3)) if mode == "stochastic" else None
+            c = rng.standard_normal((4, 3))
 
-    def test_quadratic_probe_exact(self):
-        params = small_params(seed=8)
-        leaves = make_leaves(params, "actor")
-        node = ad.add_n([ad.vsum(ad.mul(leaf, leaf)) for leaf in leaves.values()])
-        g = grad(node, leaves, params)
-        flat = params.flat()
-        names = list(params.values)
-        offset = 0
-        for name in names:
-            size = params.values[name].size
-            block = g[offset : offset + size]
-            if name.startswith("actor."):
-                assert np.array_equal(block, 2.0 * flat[offset : offset + size])
-            else:
-                assert np.all(block == 0.0)
-            offset += size
+            def objective(p):
+                return float(np.sum(c * actor_forward(p, x, z)[0]))
+
+            weights, acts = actor_forward(params, x, z)
+            g = actor_backward(params, acts, weights, c, z)
+            assert g.shape == (params.actor_size,)
+            for i in rng.choice(params.actor_size, size=30, replace=False):
+                fd = central_difference(objective, params, i)
+                denom = max(abs(fd), abs(g[i]), 1e-8)
+                assert abs(fd - g[i]) / denom < 1e-4
+
+    def test_detached_objective_has_zero_grad(self, rng):
+        # the critic bootstrap enters the planner objective as a constant
+        params = small_params(seed=2)
+        args = _planner_args(rng, params)
+        shifted = args[:5] + (args[5] + 3.0,) + args[6:]
+        obj, _, _, g = planner_objective(params, *args)
+        obj_shifted, _, _, g_shifted = planner_objective(params, *shifted)
+        assert obj_shifted != obj
+        assert g_shifted.tobytes() == g.tobytes()
 
     def test_critic_entries_zero_through_weights(self, rng):
-        params = small_params(seed=1)
-        x = rng.standard_normal(22)
-        leaves = make_leaves(params, "actor")
-        node = ad.dot(actor_weights_taped(leaves, params, x), np.array([1.0, -1.0, 0.5]))
-        g = grad(node, leaves, params)
-        offset = 0
-        for name, arr in params.values.items():
-            if name.startswith("critic."):
-                assert np.all(g[offset : offset + arr.size] == 0.0)
-            offset += arr.size
+        for mode in ("deterministic", "stochastic"):
+            params = small_params(mode=mode, seed=1)
+            g = planner_objective(params, *_planner_args(rng, params, lam=0.5))[3]
+            assert g.shape == (params.n_params(),)
+            assert g[:params.actor_size].any()
+            assert not g[params.actor_size:].any()
 
 
 class TestCheckpoint:
@@ -319,3 +325,75 @@ class TestPretrain:
         a = pretrain(series, EnvConfig(n_assets=1), **kwargs)
         b = pretrain(mutated, EnvConfig(n_assets=1), **kwargs)
         assert np.array_equal(a.flat(), b.flat())
+
+    @pytest.mark.parametrize("algo, kwargs, epochs, digest", [
+        ("stochastic-ac", dict(hidden=(64, 64), mode="stochastic"), 10,
+         "a05a98c4f11c6604384982246da414ebe5a9f80d5ca0e7591552780212e5bdc0"),
+        ("deterministic-ac", dict(hidden=(16, 16), mode="deterministic"), 3,
+         "d2ccaeee9731957129e9c257fab695cb35fb678cd41e59cd63959cbcc887090c"),
+        ("stochastic-ac", dict(hidden=(16, 16), mode="stochastic", shared_trunk=True), 2,
+         "1539d21e6a2e65f36fd1d31c7355b8d4070d045b3b022ba0475c346948772048"),
+        ("deterministic-ac", dict(hidden=(8,), mode="deterministic", shared_trunk=True), 2,
+         "2df69b2ec697a64a43556b7b993b92199a957ca9913f6cd61992a9841e65bd1e"),
+    ])
+    def test_pretrained_vector_is_pinned(self, algo, kwargs, epochs, digest):
+        # every downstream output starts from these bytes; the README market, data seed 1
+        series = generate_synthetic(SyntheticMarketSpec(
+            n_assets=5, length=460, signal_strength=0.004, volatility=0.005, seed=1))
+        params = pretrain(series, EnvConfig(n_assets=5), algo=algo, epochs=epochs, seed=0,
+                          config=PolicyConfig(n_assets=5, **kwargs))
+        assert hashlib.sha256(params.vector.tobytes()).hexdigest() == digest
+
+
+class TestPretrainLosses:
+    """The pretrainers' hand-written gradients against central differences."""
+
+    @staticmethod
+    def _check(loss, params, rng):
+        grads = PolicyParams(params.config, np.zeros(params.n_params()))
+        scratch = PolicyParams(params.config, np.zeros(params.n_params()))
+        value0 = loss(params, grads)
+        assert value0 == loss(params, scratch)
+        assert scratch.vector.tobytes() == grads.vector.tobytes()
+        g = grads.vector
+        floor = 1e-6 * max(1.0, float(np.max(np.abs(g))))
+        # every array is checked, the log-std and a shared trunk included
+        offset, picks = 0, []
+        for arr in params.values.values():
+            picks += list(offset + rng.choice(arr.size, size=min(arr.size, 4), replace=False))
+            offset += arr.size
+        for i in picks:
+            fd = central_difference(lambda p: loss(p, scratch), params, i)
+            assert abs(fd - g[i]) / max(abs(fd), abs(g[i]), floor) < 1e-4
+
+    @staticmethod
+    def _params(rng, mode, shared_trunk):
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8, 6), mode=mode,
+                                           shared_trunk=shared_trunk, init_seed=3))
+        params.set_flat(params.flat() + 0.2 * rng.standard_normal(params.n_params()))
+        return params
+
+    @pytest.mark.parametrize("shared_trunk", [False, True])
+    def test_stochastic_loss_gradient(self, rng, shared_trunk):
+        params = self._params(rng, "stochastic", shared_trunk)
+        x = rng.standard_normal(22)
+        sampled = rng.standard_normal(3)
+
+        def loss(p, grads):
+            return _stochastic_loss(p, grads, _forward(p, "actor", "actor.head", x), sampled,
+                                    adv=0.7, target=0.3, value_coef=0.5, entropy_coef=0.01)
+
+        self._check(loss, params, rng)
+
+    @pytest.mark.parametrize("shared_trunk", [False, True])
+    def test_deterministic_loss_gradient(self, rng, shared_trunk):
+        params = self._params(rng, "deterministic", shared_trunk)
+        x = rng.standard_normal(22)
+        state = PortfolioState(1.3e5, softmax_weights(rng.standard_normal(3)), 0)
+        rel = np.exp(0.05 * rng.standard_normal(2))
+
+        def loss(p, grads):
+            return _deterministic_loss(p, grads, _forward(p, "actor", "actor.head", x), state,
+                                       rel, scale=1e5, fee=0.01, target=0.2, value_coef=0.5)
+
+        self._check(loss, params, rng)
