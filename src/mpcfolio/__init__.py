@@ -10,6 +10,7 @@ from .forecast import (
     PerfectForecaster,
     RidgeForecaster,
     ZeroForecaster,
+    build_trajectories,
     build_trajectory,
     calibrate_cheat,
     context_mean_baseline,

@@ -421,9 +421,15 @@ class CheatForecaster:
                   horizon: int, split: str = "test",
                   context_window: int = DEFAULT_CONTEXT_WINDOW):
         """Pick c so the blend hits `target_r2` pooled over the split's grid."""
-        preds, reals, bases = collect_forecast_grid(base_source, series, horizon,
-                                                    split, context_window)
-        calib, _ = calibrate_cheat(preds, reals, bases, target_r2)
+        grid = collect_forecast_grid(base_source, series, horizon, split, context_window)
+        return cls.from_grid(base_source, grid, target_r2, context_window)
+
+    @classmethod
+    def from_grid(cls, base_source, grid, target_r2: float,
+                  context_window: int = DEFAULT_CONTEXT_WINDOW):
+        """`calibrate` on a grid from `collect_forecast_grid`, which any number
+        of targets can share."""
+        calib, _ = calibrate_cheat(*grid, target_r2)
         calib.context_window = context_window
         return cls(base_source, calib.c, calibration=calib)
 
@@ -456,30 +462,74 @@ class ForecastTrajectory:
     normalizer: Normalizer | None
 
 
+class TrajectorySet:
+    """Trajectories from a set of base dates, as built by `build_trajectories`."""
+
+    def __init__(self, trajectories: dict, rejected: dict):
+        self.trajectories = trajectories  # base date -> ForecastTrajectory
+        self.rejected = rejected          # base date -> the NumericError that rejected it
+
+    def at(self, t: int) -> ForecastTrajectory | None:
+        """The trajectory from base date t, or None when t was not asked for.
+
+        Raises the NumericError that rejected t's forecast.
+        """
+        if t in self.rejected:
+            raise self.rejected[t]
+        return self.trajectories.get(t)
+
+
+def build_trajectories(source, series: MarketSeries, horizons: dict,
+                       normalizer: Normalizer | None = None) -> TrajectorySet:
+    """Compose predicted movements into trajectories from many base dates at once.
+
+    `horizons` maps each base date t to its horizon; the source is asked once
+    per date. A date whose movements are not finite, or whose source raised
+    NumericError, is rejected on its own. Imagined states of the dates that
+    share a horizon are featurised as one batch of spliced price paths, with
+    the same bytes as one date at a time.
+    """
+    movements, rejected, groups = {}, {}, {}
+    for t, horizon in horizons.items():
+        if horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {horizon}")
+        if t < WARMUP_DAYS:
+            raise FeatureError(f"need t >= {WARMUP_DAYS} of realized history, got t={t}")
+        try:
+            moves = source.predict_movements(series, t, horizon)
+            if moves.shape != (horizon, series.n_assets):
+                raise ConfigError(f"source returned shape {moves.shape}")
+            if not np.isfinite(moves).all():
+                raise NumericError(f"non-finite predicted movements at base date {series.dates[t]}")
+        except NumericError as exc:
+            rejected[t] = exc
+            continue
+        movements[t] = moves
+        groups.setdefault(horizon, []).append(t)
+    trajectories = {}
+    for horizon, ts in groups.items():
+        days = np.array(ts)
+        p_t = series.close[days][:, None]  # (dates, 1, N)
+        prices = p_t + np.cumsum(np.stack([movements[t] for t in ts]), axis=1)
+        prices = np.maximum(prices, PRICE_FLOOR_FRAC * p_t)
+        relatives = prices / np.concatenate([p_t, prices[:, :-1]], axis=1)
+        history = series.close[days[:, None] + np.arange(1 - WARMUP_DAYS, 1)]
+        states = feature_range_from_closes(np.concatenate([history, prices], axis=1),
+                                           WARMUP_DAYS, WARMUP_DAYS + horizon)
+        if normalizer is not None:  # `normalizer.apply` in place, to the same bits
+            states -= normalizer.mean
+            states /= normalizer.std
+        for i, t in enumerate(ts):
+            trajectories[t] = ForecastTrajectory(base_t=t, horizon=horizon, prices=prices[i],
+                                                 relatives=relatives[i], states=states[i],
+                                                 normalizer=normalizer)
+    return TrajectorySet(trajectories, rejected)
+
+
 def build_trajectory(source, series: MarketSeries, t: int, horizon: int,
                      normalizer: Normalizer | None = None) -> ForecastTrajectory:
     """Compose predicted movements into a trajectory of states and relatives."""
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if t < WARMUP_DAYS:
-        raise FeatureError(f"need t >= {WARMUP_DAYS} of realized history, got t={t}")
-    movements = source.predict_movements(series, t, horizon)
-    if movements.shape != (horizon, series.n_assets):
-        raise ConfigError(f"source returned shape {movements.shape}")
-    if not np.all(np.isfinite(movements)):
-        raise NumericError(f"non-finite predicted movements at base date {series.dates[t]}")
-    p_t = series.close[t]
-    prices = p_t + np.cumsum(movements, axis=0)
-    prices = np.maximum(prices, PRICE_FLOOR_FRAC * p_t)
-    prev = np.vstack([p_t, prices[:-1]])
-    relatives = prices / prev
-
-    spliced = np.vstack([series.close[t - WARMUP_DAYS + 1 : t + 1], prices])
-    states = feature_range_from_closes(spliced, WARMUP_DAYS, WARMUP_DAYS + horizon)
-    if normalizer is not None:
-        states = normalizer.apply(states)
-    return ForecastTrajectory(base_t=t, horizon=horizon, prices=prices,
-                              relatives=relatives, states=states, normalizer=normalizer)
+    return build_trajectories(source, series, {t: horizon}, normalizer).at(t)
 
 
 # -- forecast noise ----------------------------------------------------------------
@@ -502,12 +552,10 @@ def fit_noise_calibration(source, series: MarketSeries, horizon: int,
     """Sample variance of predicted feature values per horizon, pooled over
     (forecast date, ticker, feature) tuples of the given split."""
     start, stop = series.usable_range(split)
-    states = []
-    for t in range(start, stop, stride):
-        if source.available_horizon(series, t) < horizon:
-            continue
-        traj = build_trajectory(source, series, t, horizon, normalizer=normalizer)
-        states.append(traj.states)
+    dates = [t for t in range(start, stop, stride)
+             if source.available_horizon(series, t) >= horizon]
+    built = build_trajectories(source, series, dict.fromkeys(dates, horizon), normalizer)
+    states = [built.at(t).states for t in dates]
     if len(states) < 2:
         raise DataError(f"need >= 2 forecast dates on split {split!r} for noise stats")
     stacked = np.stack(states)  # (dates, H, N, 11)
@@ -515,20 +563,14 @@ def fit_noise_calibration(source, series: MarketSeries, horizon: int,
     return NoiseCalibration(sigma2=sigma2)
 
 
-@dataclass
-class ParticlePath:
-    """One (possibly noise-perturbed) imagined world: states and relatives."""
-
-    states: np.ndarray     # (H, N, 11)
-    relatives: np.ndarray  # (H, N)
-
-
 def perturb(traj: ForecastTrajectory, calib: NoiseCalibration | None,
-            sigma: float, k: int, rng) -> list:
-    """K noisy copies of the trajectory; sigma == 0 returns the original K times.
+            sigma: float, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """K noisy copies of the trajectory: states (K, H, N, 11), relatives (K, H, N).
 
+    sigma == 0 returns K read-only views of the original and draws nothing.
     Noise is added in imagined-feature space with per-horizon scale
-    sigma * sqrt(sigma2[h]); relatives are re-derived from the perturbed
+    sigma * sqrt(sigma2[h]), in one draw that gives the same numbers as K
+    draws of one copy each; relatives are re-derived from the perturbed
     one-day-return channel so reward error tracks observation error.
     """
     if k < 1:
@@ -536,21 +578,16 @@ def perturb(traj: ForecastTrajectory, calib: NoiseCalibration | None,
     if sigma < 0:
         raise ConfigError(f"noise scale must be >= 0, got {sigma}")
     if sigma == 0.0:
-        base = ParticlePath(states=traj.states, relatives=traj.relatives)
-        return [base] * k
+        return (np.broadcast_to(traj.states, (k, *traj.states.shape)),
+                np.broadcast_to(traj.relatives, (k, *traj.relatives.shape)))
     if calib is None:
         raise ConfigError("noise scale > 0 requires a NoiseCalibration")
     h = traj.horizon
     if calib.horizon < h:
         raise ConfigError(f"noise calibration covers {calib.horizon} horizons, need {h}")
     scale = sigma * np.sqrt(calib.sigma2[:h])[:, None, None]
-    out = []
-    for _ in range(k):
-        eps = rng.standard_normal(traj.states.shape) * scale
-        states = traj.states + eps
-        z_close = states[:, :, 4]
-        if traj.normalizer is not None:
-            z_close = traj.normalizer.mean[:, 4] + traj.normalizer.std[:, 4] * z_close
-        relatives = np.maximum(1.0 + z_close, RELATIVE_FLOOR)
-        out.append(ParticlePath(states=states, relatives=relatives))
-    return out
+    states = traj.states + rng.standard_normal((k, *traj.states.shape)) * scale
+    z_close = states[..., 4]
+    if traj.normalizer is not None:
+        z_close = traj.normalizer.mean[:, 4] + traj.normalizer.std[:, 4] * z_close
+    return states, np.maximum(1.0 + z_close, RELATIVE_FLOOR)

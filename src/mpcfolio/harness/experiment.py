@@ -2,13 +2,16 @@
 
 A sweep is a grid over seeds x variant x horizon x target-R2. Shared inputs
 (the market, normalizers, fitted forecasters, blend calibrations, pretrained
-policies) are built sequentially up front. An external forecast file that
-lacks a cell the run would read fails the run as soon as it is loaded, before
-any pretraining. Grid cells are then pure jobs over read-only state, executed
-by a bounded thread pool whose size cannot change any output byte. The cells' trading steps take turns (`run_pilot`), so
-the pool interleaves cells rather than computing two at once. Everything
-lands in one results.json from which the table and the SVG plot can be
-regenerated without recomputation.
+policies) are built sequentially up front; every R-squared target of one
+horizon is calibrated from one shared forecast grid. An external forecast
+file that lacks a cell the run would read fails the run as soon as it is
+loaded, before any pretraining. Grid cells are then pure jobs over read-only
+state, executed by a bounded thread pool whose size cannot change any output
+byte. Each cell imagines its whole run split once before its first step, and
+the cells' trading steps take turns (`run_pilot`), so the pool interleaves
+cells rather than computing two at once. Everything lands in one
+results.json from which the table and the SVG plot can be regenerated
+without recomputation.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from ..forecast import (
     PerfectForecaster,
     RidgeForecaster,
     ZeroForecaster,
+    collect_forecast_grid,
     fit_noise_calibration,
 )
 from ..marketdata import FeatureView, load_csv
@@ -169,16 +173,18 @@ def run_experiment(config: ExperimentConfig, out_dir, use_sweep: bool = True) ->
     base = build_base_forecaster(config, series, max(horizons))
     _check_coverage(base, series, max(horizons))
     forecasters, calibrations = {}, []
+    context_window = config.raw["forecast"]["context_window"]
     for h in sorted(set(horizons)):
+        grid = None  # one calibration grid per horizon serves every target
         for r2 in r2s:
             if r2 is None:
                 forecasters[(h, None)] = base
                 continue
-            cheat = CheatForecaster.calibrate(
-                base, series, r2, h,
-                split=config.raw["cheat"]["calibration_split"],
-                context_window=config.raw["forecast"]["context_window"],
-            )
+            if grid is None:
+                grid = collect_forecast_grid(base, series, h,
+                                             config.raw["cheat"]["calibration_split"],
+                                             context_window)
+            cheat = CheatForecaster.from_grid(base, grid, r2, context_window)
             forecasters[(h, r2)] = cheat
             calibrations.append({"horizon": h, "r2": r2, **cheat.calibration.to_dict()})
 

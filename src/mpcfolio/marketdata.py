@@ -7,9 +7,11 @@ Features become usable 30 trading days after the series start; earlier days are
 treated as warm-up and excluded from every split's usable range.
 
 One kernel featurises a range of days at once over sliding 30-day windows; the
-single-day, close-only and range forms all call it, and every form gives the
-same bytes as featurising each day on its own. `FeatureView` featurises each
-split once and serves each day's normalised state as a row of that split's
+close-only forms and a batch of close paths all call it, and every form gives
+the same bytes as featurising each day on its own. Each `MarketSeries`
+featurises its whole date index once, lazily, into one read-only raw tensor;
+the single-day and range forms are slices of it. `FeatureView` normalises
+each split once and serves each day's state as a row of that split's
 read-only tensor.
 """
 
@@ -79,23 +81,44 @@ class Bar:
             )
 
 
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 class MarketSeries:
     """Date-aligned per-asset bar matrices with contiguous train/valid/test ranges.
 
-    Read-only after construction; safe to share across concurrent readers.
+    Read-only after construction: the five price arrays are private read-only
+    copies, so the raw feature tensor built from them on first use cannot go
+    stale. Safe to share across concurrent readers: racing first uses may
+    featurise twice, but `dict.setdefault` hands every caller the one stored
+    first.
     """
 
     def __init__(self, assets, dates, open_, high, low, close, adj_close, split_bounds):
         self.assets = list(assets)
         self.dates = list(dates)
-        self.open = np.asarray(open_, dtype=np.float64)
-        self.high = np.asarray(high, dtype=np.float64)
-        self.low = np.asarray(low, dtype=np.float64)
-        self.close = np.asarray(close, dtype=np.float64)
-        self.adj_close = np.asarray(adj_close, dtype=np.float64)
+        self.open = _read_only(open_)
+        self.high = _read_only(high)
+        self.low = _read_only(low)
+        self.close = _read_only(close)
+        self.adj_close = _read_only(adj_close)
         # split_bounds: {"train": (start, stop), ...} as half-open index ranges
         self.split_bounds = dict(split_bounds)
         self._validate()
+        self._cache: dict[str, np.ndarray] = {}
+
+    def raw_features(self) -> np.ndarray:
+        """Read-only raw features (n_days - 30, N, 11); row i is day 30 + i."""
+        raw = self._cache.get("features")
+        if raw is None:
+            raw = _window_features(self.close, WARMUP_DAYS, self.n_days,
+                                   (self.open, self.high, self.low, self.adj_close))
+            raw.flags.writeable = False
+            raw = self._cache.setdefault("features", raw)
+        return raw
 
     @property
     def n_assets(self) -> int:
@@ -173,36 +196,43 @@ class StateFeatures:
         return self.values.ravel()
 
 
-def _window_features(close: np.ndarray, t0: int, t1: int, intraday=()) -> np.ndarray:
-    """Raw features (t1 - t0, N, 11) of days t0..t1-1 from a (T, N) close array.
-
-    `intraday` holds the open, high, low and adjusted-close arrays; without
-    them the bars are flat and those four ratios are zero. Each windowed mean
-    sums the same closes in the same order as `close[t-k+1:t+1].mean(axis=0)`.
-    """
+def _check_days(t0: int, t1: int, n_days: int) -> None:
     if t0 < WARMUP_DAYS:
         raise FeatureError(f"need t >= {WARMUP_DAYS} for the 30-day window, got t={t0}")
-    if t1 > len(close) or t1 <= t0:
-        raise FeatureError(f"day range {t0}..{t1 - 1} outside 0..{len(close) - 1}")
-    close_t = close[t0:t1]
-    out = np.zeros((t1 - t0, close.shape[1], N_FEATURES), dtype=np.float64)
+    if t1 > n_days or t1 <= t0:
+        raise FeatureError(f"day range {t0}..{t1 - 1} outside 0..{n_days - 1}")
+
+
+def _window_features(close: np.ndarray, t0: int, t1: int, intraday=()) -> np.ndarray:
+    """Raw features (..., t1 - t0, N, 11) of days t0..t1-1 from a (..., T, N) close array.
+
+    Leading axes are a batch of paths, featurised in one pass. `intraday`
+    holds the open, high, low and adjusted-close arrays; without them the
+    bars are flat and those four ratios are zero. Each windowed mean sums the
+    same closes in the same order as `close[t-k+1:t+1].mean(axis=0)`, for
+    every batch shape.
+    """
+    _check_days(t0, t1, close.shape[-2])
+    close_t = close[..., t0:t1, :]
+    out = np.zeros((*close_t.shape, N_FEATURES), dtype=np.float64)
     for j, price in enumerate(intraday):
-        out[:, :, j] = price[t0:t1] / close_t - 1.0
-    out[:, :, 4] = close_t / close[t0 - 1 : t1 - 1] - 1.0
-    windows = sliding_window_view(close[t0 - WARMUP_DAYS + 1 : t1], WARMUP_DAYS, axis=0)
+        out[..., j] = price[..., t0:t1, :] / close_t - 1.0
+    out[..., 4] = close_t / close[..., t0 - 1 : t1 - 1, :] - 1.0
+    windows = sliding_window_view(close[..., t0 - WARMUP_DAYS + 1 : t1, :], WARMUP_DAYS,
+                                  axis=-2)
     for j, k in enumerate(MA_WINDOWS):
-        out[:, :, 5 + j] = windows[:, :, WARMUP_DAYS - k :].mean(axis=-1) / close_t - 1.0
+        out[..., 5 + j] = windows[..., WARMUP_DAYS - k :].mean(axis=-1) / close_t - 1.0
     return out
 
 
 def compute_feature_range(series: MarketSeries, t0: int, t1: int) -> np.ndarray:
-    """Raw feature tensor (t1 - t0, N, 11) for the day indices t0..t1-1."""
-    return _window_features(series.close, t0, t1,
-                            (series.open, series.high, series.low, series.adj_close))
+    """Raw feature tensor (t1 - t0, N, 11) for the day indices t0..t1-1; read-only."""
+    _check_days(t0, t1, series.n_days)
+    return series.raw_features()[t0 - WARMUP_DAYS : t1 - WARMUP_DAYS]
 
 
 def compute_features(series: MarketSeries, t: int) -> np.ndarray:
-    """Raw (pre-normalization) feature matrix (N, 11) at day index t.
+    """Raw (pre-normalization) feature matrix (N, 11) at day index t; read-only.
 
     Requires t >= 30 so the longest moving-average window and the one-day
     return are fully inside the series.
@@ -211,10 +241,10 @@ def compute_features(series: MarketSeries, t: int) -> np.ndarray:
 
 
 def feature_range_from_closes(closes: np.ndarray, t0: int, t1: int) -> np.ndarray:
-    """Feature tensor (t1 - t0, N, 11) from a close-only path (flat intraday,
-    adj == close), so the intraday and adjusted-close ratios are zero.
+    """Feature tensor (..., t1 - t0, N, 11) from close-only paths (..., T, N): flat
+    intraday, adj == close, so the intraday and adjusted-close ratios are zero.
 
-    Used to derive imagined states from forecast price paths.
+    Used to derive imagined states from a batch of forecast price paths.
     """
     return _window_features(closes, t0, t1)
 
@@ -265,8 +295,8 @@ class FeatureView:
     """Observation provider: normalized features per day, one normalizer per split.
 
     Normalizers are fitted lazily on first access and cached, and so is each
-    split's normalized feature tensor, computed in one kernel call over the
-    split's usable days and read-only; `state(t)` returns a row of it. Pass
+    split's normalized feature tensor, normalised from the split's rows of
+    the series' raw tensor and read-only; `state(t)` returns a row of it. Pass
     `normalizers` to pin pre-fitted statistics (for example to audit a
     mutated series against the original statistics). Safe to share across
     threads: racing first accesses may compute a value twice, but

@@ -1,7 +1,9 @@
 """Inference-time MPC adaptation of a pre-trained policy against a forecaster.
 
-At every real environment step the planner precomputes imagined states from
-the forecaster (phase 1, no gradients, cached for the whole step), then runs E
+Before its first step a run builds the imagined trajectory of every planned
+date from the forecaster, in one batched pass over the split (phase 1, no
+gradients). At every real environment step the planner perturbs that date's
+trajectory into K particles and bootstraps them with the critic, then runs E
 epochs of gradient ascent on a discounted imagined return with a detached
 terminal critic bootstrap (phase 2, gradients through actor parameters only),
 executes the adapted deterministic action, and re-plans at the next step.
@@ -12,10 +14,11 @@ is the setting particles=1, sigma=0, lambda=0 of that path; `VARIANTS` only
 names the allowed combinations for config validation.
 
 Because allocations do not move prices, imagined states never depend on the
-actions taken, which is what makes the phase-1 cache valid across epochs and
-lets `planner_objective` score all K x H imagined steps as array ops with a
-hand-written reverse pass. Its tests check it against central finite
-differences and hand-computed returns.
+actions taken, which is what makes the phase-1 trajectories valid for the
+whole run and lets `planner_objective` score all K x H imagined steps as array
+ops with a hand-written reverse pass. Its tests check it against central
+finite differences and hand-computed returns. A date whose forecast is
+rejected becomes an incident at its own step only.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import numpy as np
 
 from .env import EnvConfig, PortfolioState, all_cash_weights, step
 from .errors import ConfigError, NumericError
-from .forecast import NoiseCalibration, build_trajectory, perturb
+from .forecast import NoiseCalibration, TrajectorySet, build_trajectories, perturb
 from .marketdata import FeatureView, MarketSeries
-from .policy import PolicyParams, act, actor_backward, actor_forward, value
+from .policy import PolicyParams, act, actor_backward, actor_forward, value_rows
 
 VARIANTS = ("vanilla", "noise_only", "noise_lambda")
 RESET_MODES = ("persist", "reset_each_step")
@@ -163,20 +166,18 @@ def _draw_action_noise(params, shape, rng):
     return rng.standard_normal((*shape, params.config.action_dim))
 
 
-def _phase1(params, series, t, forecaster, cfg, normalizer, noise_calib, rng_noise):
+def _phase1(params, trajectories: TrajectorySet, t, cfg, noise_calib, rng_noise):
     """Stacked imagined states, relatives and detached bootstraps for one step.
 
-    Returns None when the forecaster covers no step from t. With sigma == 0,
-    `perturb` returns the unperturbed path K times and draws nothing.
+    Returns None when the forecaster covers no step from t, and raises the
+    NumericError that rejected t's forecast. With sigma == 0, `perturb`
+    returns the unperturbed path K times and draws nothing.
     """
-    h_eff = min(cfg.horizon, forecaster.available_horizon(series, t))
-    if h_eff < 1:
+    traj = trajectories.at(t)
+    if traj is None:
         return None
-    traj = build_trajectory(forecaster, series, t, h_eff, normalizer=normalizer)
-    particles = perturb(traj, noise_calib, cfg.noise_sigma, cfg.particles, rng_noise)
-    bootstraps = np.array([value(params, p.states[-1].ravel()) for p in particles])
-    return (np.stack([p.states for p in particles]),
-            np.stack([p.relatives for p in particles]), bootstraps)
+    states, relatives = perturb(traj, noise_calib, cfg.noise_sigma, cfg.particles, rng_noise)
+    return states, relatives, value_rows(params, states[:, -1].reshape(len(states), -1))
 
 
 class _Rollout:
@@ -304,10 +305,10 @@ def _ascend(params: PolicyParams, grad: np.ndarray, step_size) -> float:
 
 
 def adapt_step(params: PolicyParams, obs_flat, port_value, port_weights,
-               series, t, forecaster, cfg: MpcConfig, fee_rate,
-               normalizer=None, noise_calib: NoiseCalibration | None = None,
+               trajectories: TrajectorySet, t, cfg: MpcConfig, fee_rate,
+               noise_calib: NoiseCalibration | None = None,
                rng_action=None, rng_noise=None) -> tuple[np.ndarray, StepReport]:
-    """Plan one step and return the executed deterministic weights.
+    """Plan step t from its phase-1 trajectory and return the executed deterministic weights.
 
     Builds the rollout once, then runs E ascent epochs on the risk objective
     over the phase-1 particles, each writing the actor prefix of `params` in
@@ -319,8 +320,7 @@ def adapt_step(params: PolicyParams, obs_flat, port_value, port_weights,
     entry = params.vector.copy()
     stage = "forecast rejected"
     try:
-        imagined = _phase1(params, series, t, forecaster, cfg, normalizer,
-                           noise_calib, rng_noise)
+        imagined = _phase1(params, trajectories, t, cfg, noise_calib, rng_noise)
         stage = "adaptation aborted"
         if imagined is not None:
             states, relatives, bootstraps = imagined
@@ -374,7 +374,9 @@ def run_pilot(series: MarketSeries, params: PolicyParams, forecaster,
     epochs=0 or step_size=0 skips planning entirely and reproduces the plain
     deterministic baseline episode. The caller's parameters are never mutated;
     adaptation acts on a working copy (persisting across steps unless
-    reset_each_step is configured).
+    reset_each_step is configured). The forecaster is asked once per planned
+    date, before the first step, so an exception other than NumericError
+    fails the run before any step is taken or reported.
     """
     if env_config is None:
         env_config = EnvConfig(n_assets=series.n_assets)
@@ -390,6 +392,13 @@ def run_pilot(series: MarketSeries, params: PolicyParams, forecaster,
     last = stop - 1
     planning = cfg.epochs > 0 and cfg.step_size > 0
 
+    if planning:
+        # phase 1 for the whole split, taking one turn like a step does
+        with _STEP_TURN:
+            horizons = {t: h for t in range(start, last)
+                        if (h := min(cfg.horizon, forecaster.available_horizon(series, t))) >= 1}
+            trajectories = build_trajectories(forecaster, series, horizons, normalizer)
+
     state = PortfolioState(env_config.initial_value, all_cash_weights(series.n_assets), start)
     values = [state.value]
     rewards, targets, reports = [], [], []
@@ -400,9 +409,9 @@ def run_pilot(series: MarketSeries, params: PolicyParams, forecaster,
                 obs = view.state(t)
                 if planning:
                     weights, report = adapt_step(
-                        work, obs.flat(), state.value, state.weights, series, t,
-                        forecaster, cfg, env_config.fee_rate, normalizer=normalizer,
-                        noise_calib=noise_calib, rng_action=rng_action, rng_noise=rng_noise)
+                        work, obs.flat(), state.value, state.weights, trajectories, t,
+                        cfg, env_config.fee_rate, noise_calib=noise_calib,
+                        rng_action=rng_action, rng_noise=rng_noise)
                 else:
                     weights = act(work, obs, mode="deterministic").weights
                     report = StepReport(t=t, executed_weights=weights)

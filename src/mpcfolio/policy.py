@@ -204,13 +204,27 @@ def actor_logits(params: PolicyParams, obs) -> np.ndarray:
 
 
 def value(params: PolicyParams, obs) -> float:
-    x = _flatten_obs(obs)
+    return float(value_rows(params, _flatten_obs(obs)[None])[0])
+
+
+def value_rows(params: PolicyParams, x: np.ndarray) -> np.ndarray:
+    """The critic's value of each row of x (rows, in), in one stacked pass.
+
+    Each layer is a stack of matrix-vector products, `np.matmul(W, x[:, :, None])`,
+    so every row takes the same BLAS matrix-vector path as a lone `W @ row`
+    and gets the same bits for any row count; a GEMM `x @ W.T` does not.
+    """
     prefix = "actor" if params.config.shared_trunk else "critic"
-    h = _trunk(params, prefix, x)
-    out = params.values["critic.head_w"] @ h + params.values["critic.head_b"]
-    if not np.isfinite(out[0]):
+    h = x[:, :, None]
+    for i in range(len(params.config.hidden)):
+        h = np.tanh(np.matmul(params.values[f"{prefix}.w{i}"], h)
+                    + params.values[f"{prefix}.b{i}"][:, None])
+        if not np.isfinite(h).all():
+            raise NumericError(f"non-finite activations in {prefix} layer {i}")
+    out = np.matmul(params.values["critic.head_w"], h)[:, :, 0] + params.values["critic.head_b"]
+    if not np.isfinite(out).all():
         raise NumericError("non-finite critic head output")
-    return float(out[0])
+    return out[:, 0]
 
 
 @dataclass

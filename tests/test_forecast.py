@@ -4,9 +4,12 @@ import pytest
 from conftest import make_jittered_series, make_series, random_walk_closes
 from mpcfolio.errors import (
     ConditioningError,
+    ConfigError,
     CoverageError,
     DataError,
+    FeatureError,
     InfeasibleTargetError,
+    NumericError,
 )
 from mpcfolio.forecast import (
     PRICE_FLOOR_FRAC,
@@ -16,6 +19,7 @@ from mpcfolio.forecast import (
     PerfectForecaster,
     RidgeForecaster,
     ZeroForecaster,
+    build_trajectories,
     build_trajectory,
     calibrate_cheat,
     collect_forecast_grid,
@@ -193,6 +197,103 @@ class TestTrajectory:
         assert np.array_equal(before, after)
 
 
+class TestBuildTrajectories:
+    """The whole-split builder against one-date references, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def sources(self):
+        from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
+
+        series = generate_synthetic(SyntheticMarketSpec(
+            n_assets=3, length=300, signal_strength=0.003, volatility=0.01, seed=42))
+        ridge = RidgeForecaster.fit(series, horizon=10, lambda_reg=10.0)
+        rng = np.random.default_rng(4)
+        start, stop = series.usable_range("test")
+        cells = {(series.dates[t], asset, h): float(rng.standard_normal())
+                 for t in range(start, stop) for asset in series.assets for h in range(1, 11)}
+        return series, {
+            "ridge": ridge,
+            "cheat": CheatForecaster(ridge, 0.4),
+            "perfect": PerfectForecaster(),
+            "zero": ZeroForecaster(),
+            "context": ContextMeanForecaster(10),
+            "external": ExternalForecastSource(cells),
+        }
+
+    @staticmethod
+    def _reference(source, series, t, horizon):
+        """Prices, relatives and raw states of one date, one day at a time."""
+        moves = source.predict_movements(series, t, horizon)
+        p_t = series.close[t]
+        prices = np.maximum(p_t + np.cumsum(moves, axis=0), PRICE_FLOOR_FRAC * p_t)
+        relatives = prices / np.vstack([p_t, prices[:-1]])
+        spliced = np.vstack([series.close[t - WARMUP_DAYS + 1 : t + 1], prices])
+        states = np.stack([slice_mean_features(spliced, WARMUP_DAYS + j)
+                           for j in range(horizon)])
+        return prices, relatives, states
+
+    @pytest.mark.parametrize("name", ["ridge", "cheat", "perfect", "zero", "context",
+                                      "external"])
+    @pytest.mark.parametrize("horizon", [1, 5, 10])
+    def test_matches_one_date_references(self, sources, name, horizon):
+        series, by_name = sources
+        source = by_name[name]
+        start, stop = series.usable_range("test")
+        horizons = {t: min(horizon, source.available_horizon(series, t))
+                    for t in range(start, stop - 1)}
+        if name in ("cheat", "perfect") and horizon > 1:
+            assert min(horizons.values()) < horizon  # the split's tail is short
+        norm = FeatureView(series).normalizer("test")
+        for normalizer in (None, norm):
+            built = build_trajectories(source, series, horizons, normalizer)
+            assert not built.rejected
+            for t, h in horizons.items():
+                got = built.at(t)
+                one = build_trajectory(source, series, t, h, normalizer=normalizer)
+                prices, relatives, states = self._reference(source, series, t, h)
+                if normalizer is not None:
+                    states = normalizer.apply(states)
+                assert got.base_t == t and got.horizon == h and got.normalizer is normalizer
+                for traj in (got, one):
+                    assert traj.prices.tobytes() == prices.tobytes()
+                    assert traj.relatives.tobytes() == relatives.tobytes()
+                    assert traj.states.tobytes() == states.tobytes()
+
+    def test_rejected_dates_stand_alone(self, small_market):
+        start, stop = small_market.usable_range("test")
+        t_nan, t_raise = start + 3, start + 7
+
+        class FailsAtTwoDates(PerfectForecaster):
+            def predict_movements(self, series, t, horizon):
+                if t == t_raise:
+                    raise NumericError("injected failure")
+                out = super().predict_movements(series, t, horizon)
+                if t == t_nan:
+                    out[1, 0] = np.inf
+                return out
+
+        horizons = dict.fromkeys(range(start, start + 10), 3)
+        built = build_trajectories(FailsAtTwoDates(), small_market, horizons)
+        assert set(built.rejected) == {t_nan, t_raise}
+        with pytest.raises(NumericError, match=f"base date {small_market.dates[t_nan]}"):
+            built.at(t_nan)
+        with pytest.raises(NumericError, match="injected failure"):
+            built.at(t_raise)
+        clean = build_trajectories(PerfectForecaster(), small_market, horizons)
+        for t in set(horizons) - {t_nan, t_raise}:
+            assert built.at(t).states.tobytes() == clean.at(t).states.tobytes()
+        assert built.at(stop) is None  # not asked for
+
+    def test_other_errors_propagate(self, small_market):
+        start, _ = small_market.usable_range("test")
+        with pytest.raises(CoverageError):
+            build_trajectories(ExternalForecastSource({}), small_market, {start: 2})
+        with pytest.raises(FeatureError):
+            build_trajectories(ZeroForecaster(), small_market, {WARMUP_DAYS - 1: 2})
+        with pytest.raises(ConfigError):
+            build_trajectories(ZeroForecaster(), small_market, {start: 0})
+
+
 class TestRSquared:
     def test_perfect_prediction(self, rng):
         y = rng.standard_normal(50)
@@ -264,16 +365,47 @@ class TestCalibrateCheat:
         real = PerfectForecaster().predict_movements(small_market, t, 3)
         assert np.max(np.abs(pred - cheat.c * real)) < 1e-12  # zero base
 
+    def test_one_grid_serves_every_target(self, small_market):
+        base = RidgeForecaster.fit(small_market, horizon=3, lambda_reg=10.0)
+        grid = collect_forecast_grid(base, small_market, 3, "test")
+        for target in (0.3, 0.6, 1.0):
+            shared = CheatForecaster.from_grid(base, grid, target)
+            alone = CheatForecaster.calibrate(base, small_market, target, horizon=3)
+            assert shared.c == alone.c
+            assert shared.calibration.to_dict() == alone.calibration.to_dict()
+
 
 class TestNoise:
     def test_sigma_zero_identity(self, small_market):
         t = small_market.usable_range("test")[0]
         traj = build_trajectory(ZeroForecaster(), small_market, t, 2)
-        particles = perturb(traj, None, 0.0, 4, np.random.default_rng(0))
-        assert len(particles) == 4
-        for p in particles:
-            assert p.states is traj.states
-            assert p.relatives is traj.relatives
+        rng = np.random.default_rng(0)
+        states, relatives = perturb(traj, None, 0.0, 4, rng)
+        assert states.shape == (4, *traj.states.shape)
+        assert relatives.shape == (4, *traj.relatives.shape)
+        for k in range(4):
+            assert states[k].tobytes() == traj.states.tobytes()
+            assert relatives[k].tobytes() == traj.relatives.tobytes()
+        assert np.shares_memory(states, traj.states) and not states.flags.writeable
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+    def test_one_draw_equals_one_draw_per_particle(self, small_market):
+        from mpcfolio.marketdata import FeatureView
+
+        view = FeatureView(small_market)
+        norm = view.normalizer("test")
+        calib = fit_noise_calibration(ZeroForecaster(), small_market, 3,
+                                      normalizer=view.normalizer("train"), split="train")
+        t = small_market.usable_range("test")[0]
+        traj = build_trajectory(ZeroForecaster(), small_market, t, 3, normalizer=norm)
+        states, relatives = perturb(traj, calib, 0.5, 4, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        scale = 0.5 * np.sqrt(calib.sigma2)[:, None, None]
+        for k in range(4):
+            want = traj.states + rng.standard_normal(traj.states.shape) * scale
+            z = norm.mean[:, 4] + norm.std[:, 4] * want[:, :, 4]
+            assert states[k].tobytes() == want.tobytes()
+            assert relatives[k].tobytes() == np.maximum(1.0 + z, 1e-6).tobytes()
 
     def test_constant_predictions_have_zero_variance(self):
         # constant market + zero-movement forecasts: every imagined state is 0,
@@ -284,10 +416,10 @@ class TestNoise:
         assert np.all(calib.sigma2 == 0.0)
         t = series.usable_range("test")[0]
         traj = build_trajectory(ZeroForecaster(), series, t, 2, normalizer=None)
-        particles = perturb(traj, calib, 0.7, 3, np.random.default_rng(0))
-        for p in particles:
-            assert np.array_equal(p.states, traj.states)
-            assert np.array_equal(p.relatives, traj.relatives)
+        states, relatives = perturb(traj, calib, 0.7, 3, np.random.default_rng(0))
+        for k in range(3):
+            assert np.array_equal(states[k], traj.states)
+            assert np.array_equal(relatives[k], traj.relatives)
 
     def test_empirical_variance_matches_calibration(self, small_market):
         from mpcfolio.marketdata import FeatureView
@@ -301,8 +433,8 @@ class TestNoise:
                                 2, normalizer=view.normalizer("test"))
         rng = np.random.default_rng(99)
         sigma = 0.5
-        particles = perturb(traj, calib, sigma, 10_000, rng)
-        eps = np.stack([p.states - traj.states for p in particles])
+        states, _ = perturb(traj, calib, sigma, 10_000, rng)
+        eps = states - traj.states
         for h in range(2):
             empirical = eps[:, h].var()
             expected = sigma ** 2 * calib.sigma2[h]
@@ -317,9 +449,9 @@ class TestNoise:
                                       normalizer=view.normalizer("train"), split="train")
         t = small_market.usable_range("test")[0]
         traj = build_trajectory(ZeroForecaster(), small_market, t, 2, normalizer=norm)
-        p = perturb(traj, calib, 0.5, 1, np.random.default_rng(3))[0]
-        z = norm.mean[:, 4] + norm.std[:, 4] * p.states[:, :, 4]
-        assert np.max(np.abs(p.relatives - np.maximum(1.0 + z, 1e-6))) == 0.0
+        states, relatives = perturb(traj, calib, 0.5, 1, np.random.default_rng(3))
+        z = norm.mean[:, 4] + norm.std[:, 4] * states[0, :, :, 4]
+        assert np.max(np.abs(relatives[0] - np.maximum(1.0 + z, 1e-6))) == 0.0
 
 
 class TestExternalSource:

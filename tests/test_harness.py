@@ -244,6 +244,29 @@ class TestRunExperiment:
         assert all(c["error"] is None for c in results["cells"])
         assert parsed == [str(path)]
 
+    def test_one_calibration_grid_per_horizon(self, tmp_path, monkeypatch):
+        from mpcfolio.forecast import CheatForecaster
+        from mpcfolio.harness import experiment
+
+        grids = []
+
+        def counting(base, series, horizon, *args):
+            grids.append(horizon)
+            return collect_forecast_grid(base, series, horizon, *args)
+
+        monkeypatch.setattr(experiment, "collect_forecast_grid", counting)
+        cfg = _quick_config([0], sweep_r2=[0.3, 0.6, 1.0], forecast_kind="zero")
+        cfg.raw["mpc"]["epochs"] = 0
+        cfg.raw["sweep"]["horizon"] = [1, 2]
+        results = run_experiment(cfg, tmp_path)
+        assert grids == [1, 2]
+        series = build_series(cfg)
+        for cal in results["calibrations"]:
+            alone = CheatForecaster.calibrate(experiment.ZeroForecaster(), series, cal["r2"],
+                                              cal["horizon"])
+            assert cal == {"horizon": cal["horizon"], "r2": cal["r2"],
+                           **alone.calibration.to_dict()}
+
     def test_sweep_axes_and_calibrations(self, tmp_path):
         cfg = _quick_config([0], sweep_r2=[0.5, 1.0], forecast_kind="zero")
         results = run_experiment(cfg, tmp_path, use_sweep=True)
@@ -289,3 +312,57 @@ class TestSvg:
         groups = [{"label": "x", "mean": list(np.linspace(0, 5, 40)),
                    "std": list(np.full(40, 0.2))}]
         assert render_curves(groups) == render_curves(groups)
+
+
+class TestOutputPins:
+    """Every output byte of one small sweep, pinned by sha256.
+
+    The sweep runs a ridge base forecaster blended to two R-squared targets,
+    the vanilla planner and a noise_lambda K=2 variant on stochastic 8x8
+    policies of two seeds, on two worker threads, with streamed reports. A
+    change that moves any byte of `results.json`, `table.txt`, `curves.svg`
+    or a JSONL step report must say which bytes moved and why, and re-pin.
+    """
+
+    PINS = {
+        "results.json":
+            "b6a48c644f6679afc31a768aee13f1589bc33f349d3b475082254ee219d81c93",
+        "table.txt":
+            "fdbabdd7e8c7eaa19aeb73b5880a0be1bf8b9aa2827cab85fb1c40dfcc2abcc0",
+        "curves.svg":
+            "a6375e1321f0b0ff2d01e12bfc3bbf964674a34f7ad1fa2a0fa78874a75ccdf9",
+        "reports/noise_lambda_h3_r20.4_s0.jsonl":
+            "6989960957f5afa4281f062335489779a38dc45bf4d52a698028306b4c9ed579",
+        "reports/noise_lambda_h3_r20.4_s1.jsonl":
+            "415dfd8fcc67cae1c206946807b0e0652a012ae4bc127f8b15f32c294f4e0796",
+        "reports/noise_lambda_h3_r20.8_s0.jsonl":
+            "97a1894427f5354df5fe3f331bec3bd450b36c4e69a4f2c85b9393ec456aab80",
+        "reports/noise_lambda_h3_r20.8_s1.jsonl":
+            "769c2cd7525583d25b26d919a0c4c01159c0e3e64a69a2f43c3bd8622f7fb050",
+        "reports/vanilla_h3_r20.4_s0.jsonl":
+            "9d05f9e4987c79b01279b3191bf29a99867f1741561c956586e1b4aca0a02e4e",
+        "reports/vanilla_h3_r20.4_s1.jsonl":
+            "a91799926cd1f641f507358db9f6d0a339e44bcfbbd18f8a3c7db410aedcc6b5",
+        "reports/vanilla_h3_r20.8_s0.jsonl":
+            "bac394cc9c934d2fbb26771853e8f0910b2831da9ebdb017f458e373de9d009a",
+        "reports/vanilla_h3_r20.8_s1.jsonl":
+            "b71ecbfe6bf60606fd162466cd3a5b875481fd8c3b9ecd6a999eeb5429bd368e",
+    }
+
+    def test_sweep_outputs_are_pinned(self, tmp_path):
+        import hashlib
+
+        cfg = _quick_config([0, 1], workers=2, sweep_r2=[0.4, 0.8], stream=True,
+                            forecast_kind="ridge")
+        cfg.raw["forecast"]["lambda_reg"] = 10.0
+        cfg.raw["policy"]["mode"] = "stochastic"
+        cfg.raw["pretrain"]["algo"] = "stochastic-ac"
+        cfg.raw["mpc"].update(particles=2, noise_sigma=0.3, risk_lambda=0.5)
+        cfg.raw["sweep"]["variant"] = ["vanilla", "noise_lambda"]
+        results = run_experiment(cfg, tmp_path)
+        assert all(c["error"] is None for c in results["cells"])
+        paths = [tmp_path / name for name in ("results.json", "table.txt", "curves.svg")]
+        paths += sorted((tmp_path / "reports").glob("*.jsonl"))
+        digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in paths}
+        assert digests == self.PINS

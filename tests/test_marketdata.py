@@ -11,6 +11,7 @@ from conftest import make_jittered_series, make_series, random_walk_closes
 from mpcfolio.errors import DataError, DegenerateFeatureError, FeatureError
 from mpcfolio.marketdata import (
     FEATURE_NAMES,
+    WARMUP_DAYS,
     FeatureView,
     MarketSeries,
     compute_feature_range,
@@ -237,6 +238,25 @@ class TestMarketSeries:
         t = 57
         assert series.relatives(t)[0] == pytest.approx(1.1)
 
+    def test_price_arrays_are_read_only_copies(self, rng):
+        closes = random_walk_closes(rng, 80, 2)
+        series = make_jittered_series(rng, closes)
+        for name in ("open", "high", "low", "close", "adj_close"):
+            with pytest.raises(ValueError):
+                getattr(series, name)[0, 0] = 1.0
+        before = series.close.copy()
+        closes[:] = 1.0  # the caller's array, not the series'
+        assert np.array_equal(series.close, before)
+
+    def test_raw_feature_tensor_is_built_once(self, small_market):
+        raw = small_market.raw_features()
+        assert raw is small_market.raw_features()
+        assert raw.shape == (small_market.n_days - WARMUP_DAYS, 3, 11)
+        assert not raw.flags.writeable
+        t = 77
+        assert compute_features(small_market, t).tobytes() == raw[t - WARMUP_DAYS].tobytes()
+        assert np.shares_memory(compute_feature_range(small_market, 40, 90), raw)
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
@@ -280,6 +300,22 @@ class TestWindowKernel:
         want = np.stack([slice_mean_features(series.close, t) for t in range(t0, t1)])
         assert flat.tobytes() == want.tobytes()
         assert features_from_closes(series.close, t0).tobytes() == want[0].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_batch_matches_one_path_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = tuple(int(b) for b in rng.integers(1, 6, size=int(rng.integers(1, 3))))
+        n_days = 31 + int(rng.integers(0, 40))
+        n_assets = 1 + int(rng.integers(0, 5))
+        closes = np.stack([random_walk_closes(rng, n_days, n_assets)
+                           for _ in range(int(np.prod(batch)))]).reshape(*batch, n_days, n_assets)
+        t0 = int(rng.integers(30, n_days))
+        t1 = int(rng.integers(t0 + 1, n_days + 1))
+        got = feature_range_from_closes(closes, t0, t1)
+        assert got.shape == (*batch, t1 - t0, n_assets, 11)
+        for idx in np.ndindex(*batch):
+            assert got[idx].tobytes() == feature_range_from_closes(closes[idx], t0, t1).tobytes()
 
     def test_range_bounds(self, small_market):
         with pytest.raises(FeatureError):

@@ -10,6 +10,7 @@ from mpcfolio.errors import ConfigError, NumericError
 from mpcfolio.forecast import (
     PerfectForecaster,
     ZeroForecaster,
+    build_trajectories,
     build_trajectory,
     fit_noise_calibration,
     perturb,
@@ -332,9 +333,10 @@ class TestAdaptStep:
         cfg = MpcConfig(horizon=5, epochs=10, step_size=0.05, variant="vanilla",
                         value_scale=1e5)
         work = params.copy()
+        imagined = build_trajectories(PerfectForecaster(), series, {t: 5},
+                                      view.normalizer("test"))
         weights, report = adapt_step(
-            work, obs.flat(), 1e5, all_cash_weights(2), series, t,
-            PerfectForecaster(), cfg, 0.001, normalizer=view.normalizer("test"))
+            work, obs.flat(), 1e5, all_cash_weights(2), imagined, t, cfg, 0.001)
         assert report.incident is None
         assert weights[1] > baseline_w[1]
 
@@ -364,9 +366,10 @@ class TestAdaptStep:
         cfg = MpcConfig(horizon=2, epochs=2, step_size=1e308, variant="vanilla")
         work = params.copy()
         entry = work.flat()
+        imagined = build_trajectories(PerfectForecaster(), series, {t: 2},
+                                      view.normalizer("test"))
         weights, report = adapt_step(
-            work, obs.flat(), 1e5, all_cash_weights(2), series, t,
-            PerfectForecaster(), cfg, 0.001, normalizer=view.normalizer("test"))
+            work, obs.flat(), 1e5, all_cash_weights(2), imagined, t, cfg, 0.001)
         assert report.incident is not None
         assert np.array_equal(weights, baseline_w)
         assert np.array_equal(work.flat(), entry)
@@ -386,9 +389,10 @@ class TestAdaptStep:
         cfg = MpcConfig(horizon=3, epochs=3, step_size=0.05, value_scale=1e5)
         work = params.copy()
         entry = work.vector.tobytes()
+        imagined = build_trajectories(PerfectForecaster(), series, {t: 3},
+                                      view.normalizer("test"))
         weights, report = adapt_step(
-            work, obs.flat(), 1e5, all_cash_weights(2), series, t,
-            PerfectForecaster(), cfg, 0.001, normalizer=view.normalizer("test"),
+            work, obs.flat(), 1e5, all_cash_weights(2), imagined, t, cfg, 0.001,
             rng_action=np.random.default_rng(0))
         assert report.incident == "adaptation aborted: injected"
         assert len(report.grad_norms) == 3
@@ -406,9 +410,10 @@ class TestAdaptStep:
         work = params.copy()
         entry = work.flat()
         baseline_w = act(params, obs, mode="deterministic").weights
+        imagined = build_trajectories(PerfectForecaster(), series, {t: 3},
+                                      view.normalizer("test"))
         weights, _ = adapt_step(
-            work, obs.flat(), 1e5, all_cash_weights(2), series, t,
-            PerfectForecaster(), cfg, 0.001, normalizer=view.normalizer("test"))
+            work, obs.flat(), 1e5, all_cash_weights(2), imagined, t, cfg, 0.001)
         assert np.array_equal(work.flat(), entry)  # restored after execution
         assert not np.array_equal(weights, baseline_w)  # but adaptation acted
 
@@ -423,13 +428,13 @@ class TestPhase1:
         t = series.usable_range("test")[0]
         cfg = MpcConfig(horizon=3, particles=4, epochs=1, noise_sigma=0.5,
                         variant="noise_lambda", risk_lambda=1.0)
+        imagined = build_trajectories(ZeroForecaster(), series, {t: 3}, norm)
         out = {}
         for seed_params in (0, 99):
             params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,),
                                                init_seed=seed_params))
             rng_noise = np.random.default_rng(7)
-            out[seed_params] = _phase1(params, series, t, ZeroForecaster(), cfg,
-                                       norm, calib, rng_noise)
+            out[seed_params] = _phase1(params, imagined, t, cfg, calib, rng_noise)
         (states_a, rel_a, boots_a), (states_b, rel_b, boots_b) = out[0], out[99]
         assert states_a.shape == (4, 3, 2, 11) and rel_a.shape == (4, 3, 2)
         assert np.array_equal(states_a, states_b)
@@ -444,8 +449,8 @@ class TestPhase1:
         params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=0))
         cfg = MpcConfig(horizon=3, variant="vanilla")
         rng_noise = np.random.default_rng(7)
-        states, relatives, boots = _phase1(params, series, t, PerfectForecaster(), cfg,
-                                           norm, None, rng_noise)
+        imagined = build_trajectories(PerfectForecaster(), series, {t: 3}, norm)
+        states, relatives, boots = _phase1(params, imagined, t, cfg, None, rng_noise)
         traj = build_trajectory(PerfectForecaster(), series, t, 3, normalizer=norm)
         assert np.array_equal(states[0], traj.states)
         assert np.array_equal(relatives[0], traj.relatives)
@@ -460,15 +465,15 @@ class TestPhase1:
                                       normalizer=view.normalizer("train"))
         t = series.usable_range("test")[0]
         params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=1))
+        imagined = build_trajectories(ZeroForecaster(), series, {t: 2}, norm)
         for epochs in (1, 5):
             cfg = MpcConfig(horizon=2, particles=3, epochs=epochs, noise_sigma=0.4,
                             step_size=1e-4, variant="noise_only", value_scale=1e5)
             rng_noise = np.random.default_rng(11)
             work = params.copy()
             adapt_step(work, view.state(t).flat(), 1e5, all_cash_weights(2),
-                            series, t, ZeroForecaster(), cfg, 0.001,
-                            normalizer=norm, noise_calib=calib,
-                            rng_action=np.random.default_rng(0), rng_noise=rng_noise)
+                       imagined, t, cfg, 0.001, noise_calib=calib,
+                       rng_action=np.random.default_rng(0), rng_noise=rng_noise)
             # the noise stream advanced by exactly one phase-1 draw set
             probe = rng_noise.standard_normal()
             if epochs == 1:
@@ -641,6 +646,70 @@ class TestRunPilot:
         assert str(series.dates[t_bad]) in incidents[0][1]
         assert np.all(np.isfinite(res.values))
 
+    def test_raising_forecast_is_one_incident(self, two_asset_market):
+        series = two_asset_market
+        start, stop = series.usable_range("test")
+        t_bad = start + 5
+
+        class RaisesAtOneDate(PerfectForecaster):
+            def predict_movements(self, series, t, horizon):
+                if t == t_bad:
+                    raise NumericError("singular forecast")
+                return super().predict_movements(series, t, horizon)
+
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=1))
+        cfg = MpcConfig(horizon=3, epochs=1, step_size=0.05, variant="vanilla",
+                        value_scale=1e5)
+        res = run_pilot(series, params, RaisesAtOneDate(), cfg,
+                        env_config=EnvConfig(n_assets=2), seed=0, view=FeatureView(series))
+        incidents = [(r.t, r.incident) for r in res.reports if r.incident is not None]
+        assert incidents == [(t_bad, "forecast rejected: singular forecast")]
+
+    def test_missing_external_cell_fails_before_the_first_step(self, tmp_path,
+                                                               two_asset_market):
+        from conftest import write_external_forecasts
+        from mpcfolio.errors import CoverageError
+        from mpcfolio.forecast import ExternalForecastSource
+
+        series = two_asset_market
+        start, stop = series.usable_range("test")
+        path = write_external_forecasts(tmp_path / "fc.csv", series, horizons=(1, 2, 3))
+        source = ExternalForecastSource.from_csv(path)
+        t_mid = (start + stop) // 2
+        del source.cells[(series.dates[t_mid], series.assets[1], 2)]
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=1))
+        cfg = MpcConfig(horizon=3, epochs=1, step_size=0.05, variant="vanilla",
+                        value_scale=1e5)
+        message = (f"missing forecast cell (base_date={series.dates[t_mid]}, "
+                   f"asset={series.assets[1]}, horizon=2)")
+        with pytest.raises(CoverageError) as err:
+            run_pilot(series, params, source, cfg, env_config=EnvConfig(n_assets=2),
+                      seed=0, view=FeatureView(series), report_path=tmp_path / "steps.jsonl")
+        assert str(err.value) == message
+        assert not (tmp_path / "steps.jsonl").exists()  # no step was taken
+
+    def test_forecaster_asked_once_per_planned_date_per_run(self, two_asset_market):
+        from collections import Counter
+
+        series = two_asset_market
+        start, stop = series.usable_range("test")
+        calls = Counter()
+
+        class Spy(PerfectForecaster):
+            def predict_movements(self, series, t, horizon):
+                calls[t] += 1
+                return super().predict_movements(series, t, horizon)
+
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=1))
+        cfg = MpcConfig(horizon=3, epochs=2, step_size=0.05, variant="vanilla",
+                        value_scale=1e5)
+        spy = Spy()
+        view = FeatureView(series)
+        for runs in (1, 2):
+            run_pilot(series, params, spy, cfg, env_config=EnvConfig(n_assets=2),
+                      seed=0, view=view)
+            assert calls == Counter(dict.fromkeys(range(start, stop - 1), runs))
+
     def test_noise_requires_calibration(self, two_asset_market):
         params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,)))
         cfg = MpcConfig(horizon=2, particles=2, noise_sigma=0.5, variant="noise_only")
@@ -678,13 +747,11 @@ class TestGradientCheck:
         traj = build_trajectory(PerfectForecaster(), series, t, 3, normalizer=norm)
         calib = fit_noise_calibration(ZeroForecaster(), series, 3,
                                       normalizer=view.normalizer("train"))
-        particles = perturb(traj, calib, 0.3, 3, np.random.default_rng(1))
+        states, relatives = perturb(traj, calib, 0.3, 3, np.random.default_rng(1))
         obs = view.state(t).flat()
         prev = np.array([0.4, 0.35, 0.25])
         boots = np.array([0.05, -0.1, 0.2])
         zs = np.stack([rng.standard_normal((3, 3)) for _ in range(3)])
-        states = np.stack([p.states for p in particles])
-        relatives = np.stack([p.relatives for p in particles])
 
         params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8, 8),
                                            mode="stochastic", init_seed=12))

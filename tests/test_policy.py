@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_jittered_series
 from mpcfolio.env import EnvConfig, PortfolioState, softmax_weights
-from mpcfolio.errors import ConfigError, ShapeError
+from mpcfolio.errors import ConfigError, NumericError, ShapeError
 from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
 from mpcfolio.pilot import planner_objective
 from mpcfolio.policy import (
@@ -25,6 +25,7 @@ from mpcfolio.policy import (
     restore,
     save_checkpoint,
     value,
+    value_rows,
 )
 from oracles import central_difference
 
@@ -98,6 +99,37 @@ class TestValue:
         before = value(params, x)
         params.values["critic.head_w"][0, 0] += 0.5
         assert value(params, x) != before
+
+    @pytest.mark.parametrize("hidden", [(8,), (16, 16), (64, 64)])
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("shared_trunk", [False, True])
+    def test_rows_equal_one_call_per_row_bitwise(self, rng, hidden, mode, shared_trunk):
+        params = PolicyParams(PolicyConfig(n_assets=5, hidden=hidden, mode=mode,
+                                           shared_trunk=shared_trunk, init_seed=3))
+        params.set_flat(params.flat() + 0.3 * rng.standard_normal(params.n_params()))
+        for k in (1, 8):
+            x = rng.standard_normal((k, 55))
+            got = value_rows(params, x)
+            assert got.shape == (k,)
+            assert got.tobytes() == np.array([value(params, row) for row in x]).tobytes()
+            head = params.values["critic.head_w"]
+            trunk = "actor" if shared_trunk else "critic"
+            for row, v in zip(x, got):  # one lone matrix-vector product per layer
+                h = row
+                for i in range(len(hidden)):
+                    h = np.tanh(params.values[f"{trunk}.w{i}"] @ h
+                                + params.values[f"{trunk}.b{i}"])
+                assert v == (head @ h + params.values["critic.head_b"])[0]
+
+    def test_rows_reject_non_finite_like_value(self, rng):
+        params = small_params(seed=4)
+        x = rng.standard_normal((3, 22))
+        x[1, 0] = np.nan
+        with pytest.raises(NumericError) as one:
+            value(params, x[1])
+        with pytest.raises(NumericError) as rows:
+            value_rows(params, x)
+        assert str(rows.value) == str(one.value)
 
 
 def _planner_args(rng, params, lam=0.0):
