@@ -30,7 +30,14 @@ from .marketdata import (
     load_csv,
 )
 from .metrics import MetricsReport, calmar, compute_report, max_drawdown, sharpe, sortino, total_return
-from .pilot import MpcConfig, StepReport, imagined_reward, planner_objective, run_pilot
+from .pilot import (
+    MpcConfig,
+    StepReport,
+    imagined_reward,
+    planner_objective,
+    run_pilot,
+    run_pilots,
+)
 from .policy import (
     Agent,
     PolicyConfig,

@@ -487,7 +487,8 @@ def build_trajectories(source, series: MarketSeries, horizons: dict,
     per date. A date whose movements are not finite, or whose source raised
     NumericError, is rejected on its own. Imagined states of the dates that
     share a horizon are featurised as one batch of spliced price paths, with
-    the same bytes as one date at a time.
+    the same bytes as one date at a time. The arrays are read-only, so any
+    number of runs can share the set.
     """
     movements, rejected, groups = {}, {}, {}
     for t, horizon in horizons.items():
@@ -519,6 +520,8 @@ def build_trajectories(source, series: MarketSeries, horizons: dict,
         if normalizer is not None:  # `normalizer.apply` in place, to the same bits
             states -= normalizer.mean
             states /= normalizer.std
+        for arr in (prices, relatives, states):  # cells of a lockstep run share them
+            arr.flags.writeable = False
         for i, t in enumerate(ts):
             trajectories[t] = ForecastTrajectory(base_t=t, horizon=horizon, prices=prices[i],
                                                  relatives=relatives[i], states=states[i],

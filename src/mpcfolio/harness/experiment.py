@@ -6,10 +6,13 @@ policies) are built sequentially up front; every R-squared target of one
 horizon is calibrated from one shared forecast grid. An external forecast
 file that lacks a cell the run would read fails the run as soon as it is
 loaded, before any pretraining. Grid cells are then pure jobs over read-only
-state, executed by a bounded thread pool whose size cannot change any output
-byte. Each cell imagines its whole run split once before its first step, and
-the cells' trading steps take turns (`run_pilot`), so the pool interleaves
-cells rather than computing two at once. Everything lands in one
+state. The cells of one (variant, horizon) group share a planner config and
+trade the same dates, so each group runs as one lockstep job
+(`run_pilots`): one batched planner step serves all its cells, and cells
+that share a forecaster share its imagined trajectories. Groups run on a
+thread pool of at most `workers` threads, one per group, whose size cannot
+change any output byte; their steps take turns, so the pool interleaves
+groups rather than computing two at once. Everything lands in one
 results.json from which the table and the SVG plot can be regenerated
 without recomputation.
 """
@@ -37,7 +40,7 @@ from ..forecast import (
 )
 from ..marketdata import FeatureView, load_csv
 from ..metrics import METRIC_NAMES, compute_report
-from ..pilot import run_pilot
+from ..pilot import run_pilots
 from ..policy import Agent, load_checkpoint, pretrain, save_checkpoint
 from .config import ExperimentConfig
 from .svgplot import render_curves
@@ -221,34 +224,48 @@ def run_experiment(config: ExperimentConfig, out_dir, use_sweep: bool = True) ->
     if reports_dir is not None:
         reports_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_cell(job: dict) -> dict:
-        cell = dict(job, metrics=None, values=None, error=None)
-        try:
-            cfg = config.mpc_config(horizon=job["horizon"], variant=job["variant"],
-                                    value_scale=env_config.initial_value)
-            stream = None
-            if reports_dir is not None:
-                r2_tag = "none" if job["r2"] is None else f"{job['r2']:g}"
-                stream = reports_dir / (
-                    f"{job['variant']}_h{job['horizon']}_r2{r2_tag}_s{job['seed']}.jsonl"
-                )
-            result = run_pilot(
-                series, policies[job["seed"]], forecasters[(job["horizon"], job["r2"])],
-                cfg, env_config=env_config, split=RUN_SPLIT, seed=job["seed"],
-                noise_calib=noise_calibs.get(job["horizon"]), view=view,
-                report_path=stream)
-            cell["metrics"] = compute_report(result.values).to_dict()
-            cell["values"] = [float(v) for v in result.values]
-        except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
-            cell["error"] = f"{type(exc).__name__}: {exc}"
-        return cell
+    def report_path(job: dict):
+        if reports_dir is None:
+            return None
+        r2_tag = "none" if job["r2"] is None else f"{job['r2']:g}"
+        return reports_dir / f"{job['variant']}_h{job['horizon']}_r2{r2_tag}_s{job['seed']}.jsonl"
 
-    workers = config.raw["workers"]
-    if workers == 1:
-        cells = [run_cell(job) for job in jobs]
+    def run_group(group: list) -> list:
+        try:
+            variant, h = group[0]["variant"], group[0]["horizon"]
+            cfg = config.mpc_config(horizon=h, variant=variant,
+                                    value_scale=env_config.initial_value)
+            outcomes = run_pilots(
+                series, [policies[job["seed"]] for job in group],
+                [forecasters[(h, job["r2"])] for job in group], cfg,
+                [job["seed"] for job in group], env_config=env_config, split=RUN_SPLIT,
+                noise_calib=noise_calibs.get(h), view=view,
+                report_paths=[report_path(job) for job in group])
+        except Exception as exc:  # noqa: BLE001 - a group failure must not kill the sweep
+            outcomes = [exc] * len(group)
+        cells = []
+        for job, outcome in zip(group, outcomes):
+            cell = dict(job, metrics=None, values=None, error=None)
+            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                cell["metrics"] = compute_report(outcome.values).to_dict()
+                cell["values"] = [float(v) for v in outcome.values]
+            except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
+                cell["error"] = f"{type(exc).__name__}: {exc}"
+            cells.append(cell)
+        return cells
+
+    groups = {}
+    for job in jobs:
+        groups.setdefault((job["variant"], job["horizon"]), []).append(job)
+    threads = min(config.raw["workers"], len(groups))
+    if threads <= 1:
+        done = [run_group(group) for group in groups.values()]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, jobs))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(run_group, groups.values()))
+    cells = [cell for group_cells in done for cell in group_cells]
     cells.sort(key=_cell_sort_key)
 
     aggregates = [_aggregate("baseline", None, None, None, baselines)]

@@ -8,9 +8,13 @@ by reparameterization, so sampled allocations stay differentiable.
 
 Parameters live in one contiguous float64 vector, which is also the
 checkpoint format; each named array is a C-contiguous view into it, and the
-actor's arrays come first, so the actor is one prefix slice. Every gradient
-is written out by hand: the planner differentiates the batched actor pass
-(`actor_forward`, `actor_backward`) into one flat actor gradient, and the two
+actor's arrays come first, so the actor is one prefix slice. B policies of one
+architecture can also be held as the rows of one (B, P) vector
+(`PolicyParams.stack`); then every named array has a leading B axis, and the
+inference and planner passes run all B policies in one call per layer, each
+row with the bits of its own lone pass. Every gradient is written out by
+hand: the planner differentiates the batched actor pass (`actor_forward`,
+`actor_backward`) into one flat actor gradient per policy, and the two
 pretrainers differentiate their single-sample losses (`_forward`,
 `_backward`) into a gradient vector with the parameters' layout, which Adam
 applies in place.
@@ -114,11 +118,20 @@ def _layout(config: PolicyConfig) -> tuple:
     return tuple(layout)
 
 
+def _views(flat: np.ndarray, layout) -> dict:
+    """A view into `flat` (..., size) per (name, start, stop, shape) of `layout`."""
+    lead = flat.shape[:-1]
+    return {name: flat[..., start:stop].reshape(*lead, *shape)
+            for name, start, stop, shape in layout}
+
+
 class PolicyParams:
     """Named float64 arrays that are views into one contiguous vector.
 
     `values[name]` is a C-contiguous view into `vector`, laid out by the
-    config alone, and the actor is the prefix `vector[:actor_size]`.
+    config alone, and the actor is the prefix `vector[..., :actor_size]`.
+    A (B, P) vector stacks B policies of the config's architecture as rows;
+    each `values[name]` then has a leading B axis and C-contiguous rows.
     `flat`, `set_flat` and `copy` copy the vector, so no two instances share
     memory. Only the copy being adapted or pretrained is written in place.
     """
@@ -163,17 +176,29 @@ class PolicyParams:
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.array(flat, dtype=np.float64)
         size = self._layout[-1][2]
-        if flat.shape != (size,):
-            raise ShapeError(f"flat vector has shape {flat.shape}, expected ({size},)")
+        if flat.ndim not in (1, 2) or flat.shape[-1] != size:
+            raise ShapeError(f"flat vector has shape {flat.shape}, expected ({size},) "
+                             f"or (B, {size})")
         self.vector = flat
-        self.values = {name: flat[start:stop].reshape(shape)
-                       for name, start, stop, shape in self._layout}
+        self.values = _views(flat, self._layout)
+
+    @classmethod
+    def stack(cls, policies) -> "PolicyParams":
+        """Copies of B policies as the rows of one (B, P) vector.
+
+        The policies must share one architecture; they may differ in
+        `init_seed`, and the stack keeps the first one's config.
+        """
+        first = policies[0]
+        if any(p._layout != first._layout for p in policies):
+            raise ConfigError("stacked policies must share one architecture")
+        return cls(first.config, np.stack([p.vector for p in policies]))
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.config, self.vector)
 
     def n_params(self) -> int:
-        return self.vector.size
+        return self.vector.shape[-1]
 
 
 # -- forward passes ----------------------------------------------------------
@@ -185,46 +210,69 @@ def _flatten_obs(obs) -> np.ndarray:
     return np.asarray(obs, dtype=np.float64).ravel()
 
 
-def _trunk(params: PolicyParams, prefix: str, x: np.ndarray) -> np.ndarray:
-    h = x
+def _rows(params: PolicyParams, trunk: str, head: str, x: np.ndarray, failures) -> np.ndarray:
+    """One trunk and head over every row of x (..., rows, in): (..., rows, out).
+
+    Each layer is a stack of matrix-vector products, `np.matmul(W, row)`, so
+    every row takes the same BLAS matrix-vector path as a lone `W @ row` and
+    gets the same bits for any row count and any number of stacked policies;
+    a GEMM `x @ W.T` does not. Stacked parameters (B, P) broadcast against
+    x's leading axes. A non-finite output raises NumericError naming the
+    first layer it appeared in; when a `failures` dict is given, each
+    policy's first such message is recorded in it, keyed by its row in the
+    stack (0 when unstacked), and nothing is raised.
+    """
+    v, found = params.values, {}
+    h = x[..., None]
     for i in range(len(params.config.hidden)):
-        h = np.tanh(params.values[f"{prefix}.w{i}"] @ h + params.values[f"{prefix}.b{i}"])
-        if not np.all(np.isfinite(h)):
-            raise NumericError(f"non-finite activations in {prefix} layer {i}")
-    return h
+        h = np.tanh(np.matmul(v[f"{trunk}.w{i}"][..., None, :, :], h)
+                    + v[f"{trunk}.b{i}"][..., None, :, None])
+        if not np.isfinite(h).all():
+            _note_rows(found, params, h, f"non-finite activations in {trunk} layer {i}")
+    out = np.matmul(v[f"{head}_w"][..., None, :, :], h)[..., 0] + v[f"{head}_b"][..., None, :]
+    if not np.isfinite(out).all():
+        _note_rows(found, params, out, f"non-finite {head.split('.')[0]} head output")
+    if found:
+        if failures is None:
+            raise NumericError(next(iter(found.values())))
+        failures.update(found)
+    return out
+
+
+def _note_rows(found: dict, params: PolicyParams, a: np.ndarray, message: str) -> None:
+    """Record `message` for each policy of `params` with a non-finite entry in `a`,
+    unless an earlier layer already failed it."""
+    n_policies = params.vector.size // params.vector.shape[-1]
+    bad = ~np.isfinite(a).reshape(n_policies, -1).all(axis=1)
+    for i in np.flatnonzero(bad):
+        found.setdefault(int(i), message)
+
+
+def actor_rows(params: PolicyParams, x: np.ndarray, failures: dict | None = None) -> np.ndarray:
+    """The actor's logits for each row of x (..., rows, in), in one stacked pass.
+
+    With (B, P) stacked parameters and x of one row (1, in), the logits are
+    (B, 1, N+1): every policy's action on one observation, each with the bits
+    of its own `actor_logits`. See `_rows` for `failures`.
+    """
+    return _rows(params, "actor", "actor.head", x, failures)
 
 
 def actor_logits(params: PolicyParams, obs) -> np.ndarray:
-    x = _flatten_obs(obs)
-    h = _trunk(params, "actor", x)
-    out = params.values["actor.head_w"] @ h + params.values["actor.head_b"]
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite actor head output")
-    return out
+    return actor_rows(params, _flatten_obs(obs)[None])[0]
 
 
 def value(params: PolicyParams, obs) -> float:
     return float(value_rows(params, _flatten_obs(obs)[None])[0])
 
 
-def value_rows(params: PolicyParams, x: np.ndarray) -> np.ndarray:
-    """The critic's value of each row of x (rows, in), in one stacked pass.
+def value_rows(params: PolicyParams, x: np.ndarray, failures: dict | None = None) -> np.ndarray:
+    """The critic's value of each row of x (..., rows, in), in one stacked pass.
 
-    Each layer is a stack of matrix-vector products, `np.matmul(W, x[:, :, None])`,
-    so every row takes the same BLAS matrix-vector path as a lone `W @ row`
-    and gets the same bits for any row count; a GEMM `x @ W.T` does not.
+    See `_rows` for the stacking, its bits and `failures`.
     """
-    prefix = "actor" if params.config.shared_trunk else "critic"
-    h = x[:, :, None]
-    for i in range(len(params.config.hidden)):
-        h = np.tanh(np.matmul(params.values[f"{prefix}.w{i}"], h)
-                    + params.values[f"{prefix}.b{i}"][:, None])
-        if not np.isfinite(h).all():
-            raise NumericError(f"non-finite activations in {prefix} layer {i}")
-    out = np.matmul(params.values["critic.head_w"], h)[:, :, 0] + params.values["critic.head_b"]
-    if not np.isfinite(out).all():
-        raise NumericError("non-finite critic head output")
-    return out[:, 0]
+    trunk = "actor" if params.config.shared_trunk else "critic"
+    return _rows(params, trunk, "critic.head", x, failures)[..., 0]
 
 
 @dataclass
@@ -271,41 +319,66 @@ class Agent:
 def actor_forward(params: PolicyParams, x: np.ndarray, z: np.ndarray | None = None):
     """Allocations for a batch of flat observations, one per row of `x`.
 
-    Pass `z` draws, one row per observation, to sample logits by
-    reparameterization. Returns the (rows, N+1) softmax weights and the layer
-    activations that `actor_backward` reuses.
+    `x` is (rows, in), or (B, rows, in) for (B, P) stacked parameters, whose
+    matmuls are then stacked GEMMs with the bits of one GEMM per policy. Pass
+    `z` draws, one row per observation, to sample logits by
+    reparameterization. Returns the (..., rows, N+1) softmax weights and the
+    layer activations that `actor_backward` reuses.
     """
+    v = params.values
     acts = [x]
     for i in range(len(params.config.hidden)):
-        acts.append(np.tanh(acts[-1] @ params.values[f"actor.w{i}"].T
-                            + params.values[f"actor.b{i}"]))
-    logits = acts[-1] @ params.values["actor.head_w"].T + params.values["actor.head_b"]
+        acts.append(np.tanh(np.matmul(acts[-1], v[f"actor.w{i}"].swapaxes(-1, -2))
+                            + v[f"actor.b{i}"][..., None, :]))
+    logits = (np.matmul(acts[-1], v["actor.head_w"].swapaxes(-1, -2))
+              + v["actor.head_b"][..., None, :])
     if z is not None:
-        logits = logits + np.exp(params.values["actor.log_std"]) * z
+        logits = logits + np.exp(v["actor.log_std"])[..., None, :] * z
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True), acts
 
 
+class ActorGradient:
+    """A flat actor gradient per policy of `params`, (..., actor_size), with a
+    view per actor array laid out like `PolicyParams.values`, so that one
+    buffer can take every pass's `actor_backward` output."""
+
+    def __init__(self, params: PolicyParams):
+        self.flat = np.empty((*params.vector.shape[:-1], params.actor_size))
+        self.values = _views(self.flat, [entry for entry in params._layout
+                                         if entry[2] <= params.actor_size])
+
+
 def actor_backward(params: PolicyParams, acts: list, weights: np.ndarray,
-                   g_weights: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+                   g_weights: np.ndarray, z: np.ndarray | None = None,
+                   out: ActorGradient | None = None) -> np.ndarray:
     """Gradient of sum(g_weights * weights) through `actor_forward`.
 
-    One flat vector aligned with the actor prefix `vector[:actor_size]`; the
-    log-std entries are 0 when no `z` draws were used.
+    One flat vector aligned with the actor prefix `vector[..., :actor_size]`
+    per policy, written into `out` (a fresh buffer when None) and returned;
+    the log-std entries are 0 when no `z` draws were used.
     """
-    g = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
-    parts = []  # in reverse layout order
+    v = params.values
+    if out is None:
+        out = ActorGradient(params)
+    grads = out.values
+    g = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
     if params.config.mode == "stochastic":
-        parts.append(np.zeros(params.config.action_dim) if z is None
-                     else np.exp(params.values["actor.log_std"]) * np.sum(g * z, axis=0))
-    parts += [g.sum(axis=0), (g.T @ acts[-1]).ravel()]
-    g = g @ params.values["actor.head_w"]
+        if z is None:
+            grads["actor.log_std"][...] = 0.0
+        else:
+            np.multiply(np.exp(v["actor.log_std"]), (g * z).sum(axis=-2),
+                        out=grads["actor.log_std"])
+    g.sum(axis=-2, out=grads["actor.head_b"])
+    np.matmul(g.swapaxes(-1, -2), acts[-1], out=grads["actor.head_w"])
+    g = np.matmul(g, v["actor.head_w"])
     for i in reversed(range(len(params.config.hidden))):
         g = g * (1.0 - acts[i + 1] ** 2)
-        parts += [g.sum(axis=0), (g.T @ acts[i]).ravel()]
+        g.sum(axis=-2, out=grads[f"actor.b{i}"])
+        np.matmul(g.swapaxes(-1, -2), acts[i], out=grads[f"actor.w{i}"])
         if i:
-            g = g @ params.values[f"actor.w{i}"]
-    return np.concatenate(parts[::-1])
+            g = np.matmul(g, v[f"actor.w{i}"])
+    return out.flat
 
 
 # -- checkpointing -------------------------------------------------------------

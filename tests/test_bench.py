@@ -68,12 +68,18 @@ def test_sweep_unit_passes_gate(bench, tmp_path):
     assert unit.steps > 0 and unit.failed == 0 and unit.curves
 
 
+# the untraced sweep runs at a second seed, so a fault that shows at one seed only
+# has two chances to fail here
+SEEDS = {("sweep-w2", 0): 2}
+
+
 @pytest.mark.parametrize("name, trace", [("vanilla-h5e10", 1), ("particles-k8", 1),
-                                         ("sweep-w2", 1), ("vanilla-h5e10", 0)])
+                                         ("sweep-w2", 1), ("vanilla-h5e10", 0),
+                                         ("sweep-w2", 0)])
 def test_bench_command_passes(name, trace):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", name, "--seed", "1",
-         "--seconds", "0.1", "--trace", str(trace)],
+        [sys.executable, "bench/run.py", "--workload", name,
+         "--seed", str(SEEDS.get((name, trace), 1)), "--seconds", "0.1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     last = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -258,6 +258,8 @@ class TestBuildTrajectories:
                     assert traj.prices.tobytes() == prices.tobytes()
                     assert traj.relatives.tobytes() == relatives.tobytes()
                     assert traj.states.tobytes() == states.tobytes()
+                    assert not any(a.flags.writeable
+                                   for a in (traj.prices, traj.relatives, traj.states))
 
     def test_rejected_dates_stand_alone(self, small_market):
         start, stop = small_market.usable_range("test")

@@ -16,7 +16,7 @@ from mpcfolio.harness.experiment import (
     write_artifacts,
 )
 from mpcfolio.harness.svgplot import render_curves
-from mpcfolio.pilot import run_pilot
+from mpcfolio.pilot import run_pilots
 
 
 class TestSyntheticMarket:
@@ -164,12 +164,12 @@ class TestRunExperiment:
     def test_cell_failure_recorded_not_fatal(self, tmp_path, monkeypatch):
         from mpcfolio.harness import experiment
 
-        def failing_at_h2(series, params, forecaster, cfg, **kwargs):
+        def failing_at_h2(series, policies, forecasters, cfg, seeds, **kwargs):
             if cfg.horizon == 2:
                 raise NumericError("injected failure")
-            return run_pilot(series, params, forecaster, cfg, **kwargs)
+            return run_pilots(series, policies, forecasters, cfg, seeds, **kwargs)
 
-        monkeypatch.setattr(experiment, "run_pilot", failing_at_h2)
+        monkeypatch.setattr(experiment, "run_pilots", failing_at_h2)
         cfg = _quick_config([0])
         cfg.raw["sweep"]["horizon"] = [1, 2]
         results = run_experiment(cfg, tmp_path / "out", use_sweep=True)
@@ -280,6 +280,65 @@ class TestRunExperiment:
         run_experiment(cfg, tmp_path, use_sweep=False)
         files = list((tmp_path / "reports").glob("*.jsonl"))
         assert len(files) == 1
+
+    def test_base_asked_once_per_planned_date_per_blend(self, tmp_path, monkeypatch):
+        # two seeds share each blend's trajectories: the base ridge is asked once per
+        # date for the calibration grid and once per blend, not once per cell
+        from collections import Counter
+
+        from mpcfolio.harness import experiment
+
+        calls, phase = {"grid": Counter(), "cells": Counter()}, ["cells"]
+        real_predict = RidgeForecaster.predict_movements
+
+        def predict(self, series, t, horizon):
+            calls[phase[0]][t] += 1
+            return real_predict(self, series, t, horizon)
+
+        def grid(*args):
+            phase[0] = "grid"
+            try:
+                return collect_forecast_grid(*args)
+            finally:
+                phase[0] = "cells"
+
+        monkeypatch.setattr(RidgeForecaster, "predict_movements", predict)
+        monkeypatch.setattr(experiment, "collect_forecast_grid", grid)
+        cfg = _quick_config([0, 1], sweep_r2=[0.4, 0.8], forecast_kind="ridge")
+        results = run_experiment(cfg, tmp_path)
+        assert all(c["error"] is None for c in results["cells"])
+        start, stop = build_series(cfg).usable_range("test")
+        assert calls["cells"] == Counter(dict.fromkeys(range(start, stop - 1), 2))
+        assert sum(calls["grid"].values()) > 0
+
+    def test_raising_forecaster_fails_only_its_cells(self, tmp_path, monkeypatch):
+        from mpcfolio.forecast import CheatForecaster
+
+        cfg = _quick_config([0, 1], sweep_r2=[0.4, 0.8], stream=True, forecast_kind="ridge")
+        clean = run_experiment(cfg, tmp_path / "clean")
+        real_predict = CheatForecaster.predict_movements
+
+        def predict(self, series, t, horizon):
+            if self.calibration.target_r2 == 0.8:
+                raise ValueError("bad forecast")
+            return real_predict(self, series, t, horizon)
+
+        monkeypatch.setattr(CheatForecaster, "predict_movements", predict)
+        cfg = _quick_config([0, 1], sweep_r2=[0.4, 0.8], stream=True, forecast_kind="ridge")
+        results = run_experiment(cfg, tmp_path / "out")
+        stored = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert stored["cells"] == results["cells"]
+        for cell, want in zip(results["cells"], clean["cells"]):
+            if cell["r2"] == 0.8:
+                assert cell["error"] == "ValueError: bad forecast"
+                assert cell["values"] is None
+            else:
+                assert cell == want
+        reports = sorted(p.name for p in (tmp_path / "out" / "reports").glob("*.jsonl"))
+        assert reports == ["vanilla_h3_r20.4_s0.jsonl", "vanilla_h3_r20.4_s1.jsonl"]
+        for name in reports:
+            assert ((tmp_path / "out" / "reports" / name).read_bytes()
+                    == (tmp_path / "clean" / "reports" / name).read_bytes())
 
 
 class TestReport:

@@ -1,17 +1,24 @@
+import functools
+import json
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcfolio.env import EnvConfig, run_episode, softmax_weights, step
 from mpcfolio.env import PortfolioState, all_cash_weights
 from mpcfolio.errors import ConfigError, NumericError
 from mpcfolio.forecast import (
+    CheatForecaster,
     PerfectForecaster,
+    RidgeForecaster,
     ZeroForecaster,
     build_trajectories,
     build_trajectory,
+    collect_forecast_grid,
     fit_noise_calibration,
     perturb,
 )
@@ -20,6 +27,8 @@ from mpcfolio.marketdata import FeatureView
 from mpcfolio.pilot import (
     RESET_MODES,
     MpcConfig,
+    StepReport,
+    _Cell,
     _Rollout,
     _ascend,
     _phase1,
@@ -28,8 +37,16 @@ from mpcfolio.pilot import (
     imagined_reward,
     planner_objective,
     run_pilot,
+    run_pilots,
 )
-from mpcfolio.policy import Agent, PolicyConfig, PolicyParams, act, actor_forward
+from mpcfolio.policy import (
+    ActorGradient,
+    Agent,
+    PolicyConfig,
+    PolicyParams,
+    act,
+    actor_forward,
+)
 from oracles import central_difference, imagined_reward_oracle
 from tape import planner_objective_tape
 
@@ -254,26 +271,32 @@ class TestPlannerObjective:
                 softmax_weights(rng.standard_normal(n + 1)), 1.3, rng.standard_normal(k),
                 0.01, 0.97, 0.5, 1e-8, rng.standard_normal((k, horizon, n + 1)))
         obj, returns, downside_var, g = planner_objective(params, *args)
-        obj_only, returns_only, downside_only, none = _planner_pass(
-            params, _Rollout(*args[:8]), *args[8:], with_grad=False)
-        assert (obj_only, downside_only, none) == (obj, downside_var, None)
-        assert np.array_equal(returns_only, returns)
+        obs, states, relatives, prev, value0, boots, fee, discount, lam, eps, noise = args
+        rollout = _Rollout(obs, states[None], relatives[None], prev[None], [value0],
+                           boots[None], fee, discount)
+        obj_only, returns_only, downside_only, none, failures = _planner_pass(
+            PolicyParams.stack([params]), rollout, lam, eps, noise[None], with_grad=False)
+        assert (obj_only[0], downside_only[0], none, failures) == (obj, downside_var, None, {})
+        assert np.array_equal(returns_only[0], returns)
 
 
 class TestAscend:
-    def _params(self):
-        return PolicyParams(PolicyConfig(n_assets=2, hidden=(8, 6), mode="stochastic",
-                                         init_seed=3))
+    """`_ascend` on stacked rows, under the `np.errstate` its caller sets."""
+
+    def _params(self, rows=1):
+        return PolicyParams.stack([PolicyParams(PolicyConfig(
+            n_assets=2, hidden=(8, 6), mode="stochastic", init_seed=3 + i)) for i in range(rows)])
 
     def test_writes_only_the_actor_prefix_in_place(self, rng):
         params = self._params()
         before, views = params.flat(), dict(params.values)
-        g = rng.standard_normal(params.actor_size)
-        norm = _ascend(params, g, 0.1)
-        assert norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
-        assert np.array_equal(params.vector[:params.actor_size],
-                              before[:params.actor_size] + 0.1 * g)
-        assert params.vector[params.actor_size:].tobytes() == before[params.actor_size:].tobytes()
+        actor = params.actor_size
+        g = rng.standard_normal((1, actor))
+        norms, failures = _ascend(params, g, 0.1, np.ones(1, dtype=bool))
+        assert failures == {}
+        assert norms[0] == pytest.approx(np.linalg.norm(g), rel=1e-12)
+        assert np.array_equal(params.vector[:, :actor], before[:, :actor] + 0.1 * g)
+        assert params.vector[:, actor:].tobytes() == before[:, actor:].tobytes()
         assert all(params.values[n] is a for n, a in views.items())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
@@ -282,24 +305,57 @@ class TestAscend:
         params = self._params()
         before = params.vector.tobytes()
         names = params.names
-        g = np.zeros(params.actor_size)
-        g[sum(params.values[n].size for n in names[:names.index("actor.head_b")]) + 1] = bad
-        with pytest.raises(NumericError, match="non-finite gradient"):
-            _ascend(params, g, 0.1)
+        g = np.zeros((1, params.actor_size))
+        g[0, sum(params.values[n].size for n in names[:names.index("actor.head_b")]) + 1] = bad
+        with np.errstate(all="ignore"):
+            _, failures = _ascend(params, g, 0.1, np.ones(1, dtype=bool))
+        assert failures == {0: "non-finite gradient"}
         assert params.vector.tobytes() == before
 
     def test_overflowing_update_changes_nothing(self):
         params = self._params()
         before = params.vector.tobytes()
-        with pytest.raises(NumericError, match="non-finite parameters after update"):
-            _ascend(params, np.full(params.actor_size, 10.0), 1e308)
+        with np.errstate(all="ignore"):
+            _, failures = _ascend(params, np.full((1, params.actor_size), 10.0), 1e308,
+                                  np.ones(1, dtype=bool))
+        assert failures == {0: "non-finite parameters after update"}
         assert params.vector.tobytes() == before
+
+    def test_a_failed_or_masked_row_leaves_the_others_updated(self, rng):
+        params = self._params(rows=4)
+        before = params.flat()
+        g = rng.standard_normal((4, params.actor_size))
+        g[1, 3] = np.inf
+        alive = np.array([True, True, False, True])
+        with np.errstate(all="ignore"):
+            norms, failures = _ascend(params, g, 0.1, alive)
+        assert failures == {1: "non-finite gradient"}
+        for row in (1, 2):
+            assert params.vector[row].tobytes() == before[row].tobytes()
+        for row in (0, 3):
+            alone = self._params()
+            alone.vector[...] = before[row]
+            alone_norms, _ = _ascend(alone, g[row:row + 1].copy(), 0.1, np.ones(1, dtype=bool))
+            assert params.vector[row].tobytes() == alone.vector[0].tobytes()
+            assert norms[row] == alone_norms[0]
 
 
 def _planner_market(seed=5, n=2, length=320, signal=0.004):
     return generate_synthetic(SyntheticMarketSpec(
         n_assets=n, length=length, signal_strength=signal, volatility=0.008,
         drift=0.0, seed=seed))
+
+
+def _step_one(params, obs, t, imagined, cfg, fee_rate=0.001, value=1e5, noise_calib=None,
+              rng_action=None, rng_noise=None):
+    """`adapt_step` for one cell from an all-cash portfolio: its executed weights,
+    report and working vector."""
+    work = PolicyParams.stack([params])
+    cell = _Cell(0, PortfolioState(value, all_cash_weights(params.config.n_assets), t),
+                 rng_action, rng_noise, imagined)
+    weights = adapt_step(work, ActorGradient(work), [cell], obs.flat(), t, cfg, fee_rate,
+                         noise_calib=noise_calib)
+    return weights[0], cell.report, work.vector[0]
 
 
 class TestAdaptStep:
@@ -332,11 +388,9 @@ class TestAdaptStep:
 
         cfg = MpcConfig(horizon=5, epochs=10, step_size=0.05, variant="vanilla",
                         value_scale=1e5)
-        work = params.copy()
         imagined = build_trajectories(PerfectForecaster(), series, {t: 5},
                                       view.normalizer("test"))
-        weights, report = adapt_step(
-            work, obs.flat(), 1e5, all_cash_weights(2), imagined, t, cfg, 0.001)
+        weights, report, _ = _step_one(params, obs, t, imagined, cfg)
         assert report.incident is None
         assert weights[1] > baseline_w[1]
 
@@ -364,20 +418,17 @@ class TestAdaptStep:
         obs = view.state(t)
         baseline_w = act(params, obs, mode="deterministic").weights
         cfg = MpcConfig(horizon=2, epochs=2, step_size=1e308, variant="vanilla")
-        work = params.copy()
-        entry = work.flat()
         imagined = build_trajectories(PerfectForecaster(), series, {t: 2},
                                       view.normalizer("test"))
-        weights, report = adapt_step(
-            work, obs.flat(), 1e5, all_cash_weights(2), imagined, t, cfg, 0.001)
+        weights, report, work = _step_one(params, obs, t, imagined, cfg)
         assert report.incident is not None
         assert np.array_equal(weights, baseline_w)
-        assert np.array_equal(work.flat(), entry)
+        assert np.array_equal(work, params.vector)
 
     def test_aborted_step_restores_the_entry_vector(self, two_asset_market, monkeypatch):
         # every epoch has written the actor in place before the telemetry pass fails
-        def failing_objective(*args):
-            raise NumericError("injected")
+        def failing_objective(params, rollout, cfg, action_noise, alive):
+            return np.zeros(len(alive)), {0: "injected"}
 
         monkeypatch.setattr("mpcfolio.pilot._objective_value", failing_objective)
         series = two_asset_market
@@ -387,16 +438,13 @@ class TestAdaptStep:
         t = series.usable_range("test")[0]
         obs = view.state(t)
         cfg = MpcConfig(horizon=3, epochs=3, step_size=0.05, value_scale=1e5)
-        work = params.copy()
-        entry = work.vector.tobytes()
         imagined = build_trajectories(PerfectForecaster(), series, {t: 3},
                                       view.normalizer("test"))
-        weights, report = adapt_step(
-            work, obs.flat(), 1e5, all_cash_weights(2), imagined, t, cfg, 0.001,
-            rng_action=np.random.default_rng(0))
+        weights, report, work = _step_one(params, obs, t, imagined, cfg,
+                                          rng_action=np.random.default_rng(0))
         assert report.incident == "adaptation aborted: injected"
         assert len(report.grad_norms) == 3
-        assert work.vector.tobytes() == entry
+        assert work.tobytes() == params.vector.tobytes()
         assert np.array_equal(weights, act(params, obs, mode="deterministic").weights)
 
     def test_reset_each_step_restores_params(self, two_asset_market):
@@ -407,19 +455,22 @@ class TestAdaptStep:
         obs = view.state(t)
         cfg = MpcConfig(horizon=3, epochs=4, step_size=0.05, variant="vanilla",
                         reset_mode="reset_each_step", value_scale=1e5)
-        work = params.copy()
-        entry = work.flat()
         baseline_w = act(params, obs, mode="deterministic").weights
         imagined = build_trajectories(PerfectForecaster(), series, {t: 3},
                                       view.normalizer("test"))
-        weights, _ = adapt_step(
-            work, obs.flat(), 1e5, all_cash_weights(2), imagined, t, cfg, 0.001)
-        assert np.array_equal(work.flat(), entry)  # restored after execution
+        weights, _, work = _step_one(params, obs, t, imagined, cfg)
+        assert np.array_equal(work, params.vector)  # restored after execution
         assert not np.array_equal(weights, baseline_w)  # but adaptation acted
+
+
+def _phase1_cells(imagined, t, rows, rng_seed=7):
+    return [_Cell(row, None, rng_noise=np.random.default_rng(rng_seed), trajectories=imagined,
+                  report=StepReport(t=t)) for row in range(rows)]
 
 
 class TestPhase1:
     def test_imagined_states_independent_of_policy(self, two_asset_market):
+        # two policies in one stack, with equal noise streams
         series = two_asset_market
         view = FeatureView(series)
         norm = view.normalizer("test")
@@ -429,33 +480,33 @@ class TestPhase1:
         cfg = MpcConfig(horizon=3, particles=4, epochs=1, noise_sigma=0.5,
                         variant="noise_lambda", risk_lambda=1.0)
         imagined = build_trajectories(ZeroForecaster(), series, {t: 3}, norm)
-        out = {}
-        for seed_params in (0, 99):
-            params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,),
-                                               init_seed=seed_params))
-            rng_noise = np.random.default_rng(7)
-            out[seed_params] = _phase1(params, imagined, t, cfg, calib, rng_noise)
-        (states_a, rel_a, boots_a), (states_b, rel_b, boots_b) = out[0], out[99]
-        assert states_a.shape == (4, 3, 2, 11) and rel_a.shape == (4, 3, 2)
-        assert np.array_equal(states_a, states_b)
-        assert np.array_equal(rel_a, rel_b)
-        assert not np.array_equal(boots_a, boots_b)  # bootstraps do depend on the critic
+        params = PolicyParams.stack([PolicyParams(PolicyConfig(n_assets=2, hidden=(8,),
+                                                               init_seed=seed))
+                                     for seed in (0, 99)])
+        ((cells, states, relatives, boots),) = _phase1(params, _phase1_cells(imagined, t, 2),
+                                                       t, cfg, calib)
+        assert [cell.row for cell in cells] == [0, 1]
+        assert states.shape == (2, 4, 3, 2, 11) and relatives.shape == (2, 4, 3, 2)
+        assert np.array_equal(states[0], states[1])
+        assert np.array_equal(relatives[0], relatives[1])
+        assert not np.array_equal(boots[0], boots[1])  # bootstraps do depend on the critic
 
     def test_sigma_zero_stacks_the_unperturbed_path(self, two_asset_market):
         series = two_asset_market
         view = FeatureView(series)
         norm = view.normalizer("test")
         t = series.usable_range("test")[0]
-        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), init_seed=0))
+        params = PolicyParams.stack([PolicyParams(PolicyConfig(n_assets=2, hidden=(8,),
+                                                               init_seed=0))])
         cfg = MpcConfig(horizon=3, variant="vanilla")
-        rng_noise = np.random.default_rng(7)
         imagined = build_trajectories(PerfectForecaster(), series, {t: 3}, norm)
-        states, relatives, boots = _phase1(params, imagined, t, cfg, None, rng_noise)
+        cells = _phase1_cells(imagined, t, 1)
+        ((_, states, relatives, boots),) = _phase1(params, cells, t, cfg, None)
         traj = build_trajectory(PerfectForecaster(), series, t, 3, normalizer=norm)
-        assert np.array_equal(states[0], traj.states)
-        assert np.array_equal(relatives[0], traj.relatives)
-        assert boots.shape == (1,)
-        assert rng_noise.standard_normal() == np.random.default_rng(7).standard_normal()
+        assert np.array_equal(states[0, 0], traj.states)
+        assert np.array_equal(relatives[0, 0], traj.relatives)
+        assert boots.shape == (1, 1)
+        assert cells[0].rng_noise.standard_normal() == np.random.default_rng(7).standard_normal()
 
     def test_noise_drawn_once_per_step(self, two_asset_market):
         series = two_asset_market
@@ -470,10 +521,8 @@ class TestPhase1:
             cfg = MpcConfig(horizon=2, particles=3, epochs=epochs, noise_sigma=0.4,
                             step_size=1e-4, variant="noise_only", value_scale=1e5)
             rng_noise = np.random.default_rng(11)
-            work = params.copy()
-            adapt_step(work, view.state(t).flat(), 1e5, all_cash_weights(2),
-                       imagined, t, cfg, 0.001, noise_calib=calib,
-                       rng_action=np.random.default_rng(0), rng_noise=rng_noise)
+            _step_one(params, view.state(t), t, imagined, cfg, noise_calib=calib,
+                      rng_action=np.random.default_rng(0), rng_noise=rng_noise)
             # the noise stream advanced by exactly one phase-1 draw set
             probe = rng_noise.standard_normal()
             if epochs == 1:
@@ -784,3 +833,173 @@ class TestGradientCheck:
             fd = (objective(pp)[0] - objective(pm)[0]) / (2 * h)
             denom = max(abs(fd), abs(g[i]), 1e-8)
             assert abs(fd - g[i]) / denom < 1e-4
+
+
+@functools.lru_cache(maxsize=None)
+def _lockstep_world():
+    """A market whose test split runs to its last day, and forecasters whose
+    effective horizons differ there: the ridge plans H steps to the end, the
+    blend and perfect foresight fewer."""
+    series = _planner_market(seed=23, length=260)
+    view = FeatureView(series)
+    ridge = RidgeForecaster.fit(series, horizon=3, lambda_reg=10.0)
+    cheat = CheatForecaster.from_grid(ridge, collect_forecast_grid(ridge, series, 3, "test", 30),
+                                      0.6)
+    calib = fit_noise_calibration(ridge, series, 3, normalizer=view.normalizer("train"))
+    assert series.usable_range("test")[1] == series.n_days
+    return series, view, (ridge, cheat, PerfectForecaster(), ZeroForecaster()), calib
+
+
+def _lockstep_policies(mode, seeds):
+    policies = []
+    for seed in seeds:
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), mode=mode, init_seed=seed))
+        jitter = np.random.default_rng(seed).standard_normal(params.n_params())
+        params.set_flat(params.flat() + 0.2 * jitter)
+        policies.append(params)
+    return policies
+
+
+def _lockstep_cfg(particles, reset_mode="persist"):
+    if particles == 1:
+        return MpcConfig(horizon=3, epochs=2, step_size=0.05, variant="vanilla",
+                         reset_mode=reset_mode, value_scale=1e5)
+    return MpcConfig(horizon=3, particles=particles, epochs=2, step_size=0.05,
+                     noise_sigma=0.3, risk_lambda=0.5, variant="noise_lambda",
+                     reset_mode=reset_mode, value_scale=1e5)
+
+
+def _outcome_bytes(outcome):
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return (outcome.values.tobytes(), outcome.rewards.tobytes(), outcome.weights.tobytes(),
+            [json.dumps(r.to_dict(), sort_keys=True) for r in outcome.reports])
+
+
+def _solo(series, view, policy, forecaster, cfg, seed, calib):
+    try:
+        return run_pilot(series, policy, forecaster, cfg, env_config=EnvConfig(n_assets=2),
+                         seed=seed, noise_calib=calib, view=view)
+    except Exception as exc:  # noqa: BLE001 - compared with the lockstep cell's exception
+        return exc
+
+
+class NaNAtOneDate:
+    def __init__(self, base, t_bad):
+        self.base, self.t_bad = base, t_bad
+
+    def available_horizon(self, series, t):
+        return self.base.available_horizon(series, t)
+
+    def predict_movements(self, series, t, horizon):
+        out = np.array(self.base.predict_movements(series, t, horizon))
+        if t == self.t_bad:
+            out[0, 0] = np.nan
+        return out
+
+
+class RaisesValueError(ZeroForecaster):
+    def predict_movements(self, series, t, horizon):
+        raise ValueError("bad forecast")
+
+
+class TestLockstep:
+    """`run_pilots` over B cells gives each cell the bytes of its own one-cell run."""
+
+    def _check(self, policies, forecasters, cfg, seeds, calib=None, tmp_path=None):
+        series, view, _, world_calib = _lockstep_world()
+        calib = calib or (world_calib if cfg.noise_sigma > 0 else None)
+        paths = None if tmp_path is None else [tmp_path / f"cell{b}.jsonl"
+                                               for b in range(len(seeds))]
+        outcomes = run_pilots(series, policies, forecasters, cfg, seeds,
+                              env_config=EnvConfig(n_assets=2), noise_calib=calib, view=view,
+                              report_paths=paths)
+        for outcome, policy, forecaster, seed in zip(outcomes, policies, forecasters, seeds):
+            solo = _solo(series, view, policy, forecaster, cfg, seed, calib)
+            assert _outcome_bytes(outcome) == _outcome_bytes(solo)
+        return outcomes
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_lockstep_matches_solo_runs(self, data):
+        b = data.draw(st.integers(1, 6), label="cells")
+        mode = data.draw(st.sampled_from(["deterministic", "stochastic"]), label="mode")
+        particles = data.draw(st.sampled_from([1, 3]), label="particles")
+        reset_mode = data.draw(st.sampled_from(RESET_MODES), label="reset_mode")
+        which = data.draw(st.lists(st.integers(0, 3), min_size=b, max_size=b), label="fc")
+        seeds = data.draw(st.lists(st.integers(0, 40), min_size=b, max_size=b), label="seeds")
+        forecasters = _lockstep_world()[2]
+        self._check(_lockstep_policies(mode, seeds), [forecasters[i] for i in which],
+                    _lockstep_cfg(particles, reset_mode), seeds)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_effective_horizons_differ_at_the_tail(self, mode):
+        series, view, (ridge, cheat, _, _), _ = _lockstep_world()
+        last = series.usable_range("test")[1] - 2
+        assert min(3, cheat.available_horizon(series, last)) < ridge.available_horizon(series, last)
+        outcomes = self._check(_lockstep_policies(mode, [1, 2, 3, 4]),
+                               [ridge, cheat, cheat, ridge], _lockstep_cfg(3), [5, 6, 7, 8])
+        assert all(outcome.reports[-1].objective_after is not None for outcome in outcomes)
+
+    def test_nan_forecast_is_one_incident_in_its_cell_only(self):
+        series, _, (ridge, cheat, _, _), _ = _lockstep_world()
+        start, stop = series.usable_range("test")
+        t_bad = (start + stop) // 2
+        outcomes = self._check(_lockstep_policies("stochastic", [1, 2, 3]),
+                               [ridge, NaNAtOneDate(cheat, t_bad), cheat], _lockstep_cfg(1),
+                               [4, 5, 6])
+        incidents = [[(r.t, r.incident) for r in o.reports if r.incident] for o in outcomes]
+        assert incidents[0] == incidents[2] == []
+        assert len(incidents[1]) == 1 and incidents[1][0][0] == t_bad
+        assert incidents[1][0][1].startswith("forecast rejected: non-finite predicted movements")
+
+    def test_non_finite_ascent_is_one_incident_in_its_cell_only(self, monkeypatch):
+        from mpcfolio import pilot
+
+        series, view, _, _ = _lockstep_world()
+        perfect = PerfectForecaster()
+        # stochastic: the failed cell must not draw for the step's second epoch
+        policies, seeds = _lockstep_policies("stochastic", [1, 2, 3]), [4, 5, 6]
+        cfg = _lockstep_cfg(1)
+        clean = [_solo(series, view, p, perfect, cfg, s, None) for p, s in zip(policies, seeds)]
+        real_ascend = pilot._ascend
+
+        def inject(row):
+            calls = []
+
+            def ascend(params, grad, step_size, alive):
+                calls.append(None)
+                if len(calls) == 7:  # the first epoch of the fourth step
+                    grad = grad.copy()
+                    grad[row, 0] = np.nan
+                return real_ascend(params, grad, step_size, alive)
+            monkeypatch.setattr(pilot, "_ascend", ascend)
+
+        inject(row=1)
+        outcomes = run_pilots(series, policies, [perfect] * 3, cfg, seeds,
+                              env_config=EnvConfig(n_assets=2), view=view)
+        inject(row=0)
+        alone = _solo(series, view, policies[1], perfect, cfg, seeds[1], None)
+        assert _outcome_bytes(outcomes[1]) == _outcome_bytes(alone)
+        incidents = [(r.t, r.incident) for r in outcomes[1].reports if r.incident]
+        assert incidents == [(series.usable_range("test")[0] + 3,
+                              "adaptation aborted: non-finite gradient")]
+        for b in (0, 2):
+            assert _outcome_bytes(outcomes[b]) == _outcome_bytes(clean[b])
+
+    def test_raising_forecaster_fails_only_its_cells(self, tmp_path):
+        series, _, (ridge, cheat, _, _), _ = _lockstep_world()
+        raising = RaisesValueError()
+        outcomes = self._check(_lockstep_policies("deterministic", [1, 2, 3, 4]),
+                               [ridge, raising, cheat, raising], _lockstep_cfg(1), [5, 6, 7, 8],
+                               tmp_path=tmp_path)
+        assert [type(o).__name__ for o in outcomes] == ["PilotResult", "ValueError",
+                                                        "PilotResult", "ValueError"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cell0.jsonl", "cell2.jsonl"]
+
+    def test_policies_must_share_an_architecture(self, two_asset_market):
+        policies = [PolicyParams(PolicyConfig(n_assets=2, hidden=(8,))),
+                    PolicyParams(PolicyConfig(n_assets=2, hidden=(6,)))]
+        with pytest.raises(ConfigError, match="architecture"):
+            run_pilots(two_asset_market, policies, [ZeroForecaster()] * 2,
+                       _lockstep_cfg(1), [0, 1])

@@ -18,6 +18,8 @@ from mpcfolio.policy import (
     act,
     actor_backward,
     actor_forward,
+    actor_logits,
+    actor_rows,
     checkpoint,
     load_checkpoint,
     mean_train_reward,
@@ -283,6 +285,90 @@ class TestFlatVector:
                 assert act(other, row, mode="deterministic").weights.tobytes() == \
                     act(ref, row, mode="deterministic").weights.tobytes()
             assert actor_forward(other, x, z)[0].tobytes() == actor_forward(ref, x, z)[0].tobytes()
+
+
+class TestStackedPolicies:
+    """B policies as the rows of one (B, P) vector; every stacked pass gives each
+    row the bits of its lone pass."""
+
+    @staticmethod
+    def _policies(rng, hidden, mode, count=6):
+        policies = []
+        for seed in range(count):
+            params = PolicyParams(PolicyConfig(n_assets=5, hidden=hidden, mode=mode,
+                                               init_seed=seed))
+            params.set_flat(params.flat() + 0.3 * rng.standard_normal(params.n_params()))
+            policies.append(params)
+        return policies
+
+    def test_rows_are_views_of_a_private_copy(self, rng):
+        policies = self._policies(rng, (16, 16), "stochastic", count=3)
+        stack = PolicyParams.stack(policies)
+        assert stack.vector.shape == (3, policies[0].n_params())
+        assert stack.n_params() == policies[0].n_params()
+        for name, arr in stack.values.items():
+            assert arr.shape == (3, *policies[0].values[name].shape)
+            assert np.shares_memory(arr, stack.vector)
+            assert all(row.flags.c_contiguous for row in arr)
+            for b, policy in enumerate(policies):
+                assert arr[b].tobytes() == policy.values[name].tobytes()
+                assert not np.shares_memory(arr, policy.vector)
+        stack.values["actor.w0"][1, 0, 0] += 1.0
+        assert stack.vector[1, 0] == policies[1].vector[0] + 1.0
+
+    def test_stack_rejects_mixed_architectures_and_bad_shapes(self):
+        with pytest.raises(ConfigError, match="architecture"):
+            PolicyParams.stack([small_params(), small_params(mode="stochastic")])
+        params = small_params()
+        with pytest.raises(ShapeError):
+            params.set_flat(np.zeros((2, params.n_params() + 1)))
+        with pytest.raises(ShapeError):
+            params.set_flat(np.zeros((2, 2, params.n_params())))
+
+    @pytest.mark.parametrize("hidden", [(8,), (16, 16), (64, 64), (128, 128)])
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_actor_rows_equal_lone_actions_bitwise(self, rng, hidden, mode):
+        policies = self._policies(rng, hidden, mode)
+        x = rng.standard_normal(55)
+        got = actor_rows(PolicyParams.stack(policies), x[None])
+        assert got.shape == (6, 1, 6)
+        for logits, params in zip(got[:, 0], policies):
+            assert logits.tobytes() == actor_logits(params, x).tobytes()
+            h = x  # one lone matrix-vector product per layer
+            for i in range(len(hidden)):
+                h = np.tanh(params.values[f"actor.w{i}"] @ h + params.values[f"actor.b{i}"])
+            lone = params.values["actor.head_w"] @ h + params.values["actor.head_b"]
+            assert logits.tobytes() == lone.tobytes()
+
+    def test_stacked_rows_report_their_own_failures(self, rng):
+        policies = self._policies(rng, (8,), "deterministic", count=3)
+        policies[1].values["actor.head_b"][2] = 1e308
+        policies[1].values["actor.head_w"][2] = 1e308
+        stack = PolicyParams.stack(policies)
+        failures = {}
+        with np.errstate(all="ignore"):
+            actor_rows(stack, rng.standard_normal((1, 55)), failures=failures)
+            assert failures == {1: "non-finite actor head output"}
+            with pytest.raises(NumericError, match="non-finite actor head output"):
+                actor_rows(stack, rng.standard_normal((1, 55)))
+
+    @pytest.mark.parametrize("hidden", [(8,), (16, 16), (64, 64)])
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_batched_actor_pass_equals_one_pass_per_policy(self, rng, hidden, mode):
+        policies = self._policies(rng, hidden, mode, count=4)
+        stack = PolicyParams.stack(policies)
+        for rows in (1, 5, 40):
+            x = rng.standard_normal((4, rows, 55))
+            z = rng.standard_normal((4, rows, 6)) if mode == "stochastic" else None
+            weights, acts = actor_forward(stack, x, z)
+            c = rng.standard_normal(weights.shape)
+            grad = actor_backward(stack, acts, weights, c, z)
+            for b, params in enumerate(policies):
+                zb = None if z is None else z[b]
+                lone_weights, lone_acts = actor_forward(params, x[b], zb)
+                assert weights[b].tobytes() == lone_weights.tobytes()
+                lone = actor_backward(params, lone_acts, lone_weights, c[b], zb)
+                assert grad[b].tobytes() == lone.tobytes()
 
 
 def _rising_market(seed=0, n=1):
