@@ -117,8 +117,9 @@ def run_episode(series: MarketSeries, policy, mode: str = "deterministic",
                 view: FeatureView | None = None) -> EpisodeResult:
     """Roll the policy through one split; deterministic given the seed.
 
-    The policy object must expose act(params-free) as `policy.act(obs, mode,
-    rng)` returning an object with `.weights` and `.logits`.
+    The policy object holds its own parameters and exposes
+    `policy.act(obs, mode, rng)`, which returns an object with `.weights` and
+    `.logits`.
     """
     if env_config is None:
         env_config = EnvConfig(n_assets=series.n_assets)

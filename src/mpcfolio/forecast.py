@@ -129,37 +129,30 @@ def ridge_solve(x: np.ndarray, y: np.ndarray, lambda_reg: float) -> RidgeModel:
 
 
 def fit_ridge(series: MarketSeries, horizon: int, asset: int, lambda_reg: float,
-              normalizer: Normalizer | None = None, split: str = "train",
-              target: str = "return") -> RidgeModel:
+              normalizer: Normalizer | None = None, split: str = "train") -> RidgeModel:
     """Ridge model for one (asset, horizon) over the 11 features.
 
     Rows are base dates whose target date t+horizon stays inside the split,
-    so training targets never cross the split boundary. The default target is
-    the one-day return at the target date (scale-free on both sides, robust
-    to price-level drift between splits); "movement" regresses the raw price
-    difference instead.
+    so training targets never cross the split boundary. The target is the
+    one-day return at the target date (scale-free on both sides, robust to
+    price-level drift between splits).
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if target not in ("return", "movement"):
-        raise ConfigError(f"target must be 'return' or 'movement', got {target!r}")
     view = FeatureView(series, None if normalizer is None else {split: normalizer})
-    return _fit_ridge_rows(series, view.split_states(split), split, horizon, asset,
-                           lambda_reg, target)
+    return _fit_ridge_rows(series, view.split_states(split), split, horizon, asset, lambda_reg)
 
 
 def _fit_ridge_rows(series: MarketSeries, features: np.ndarray, split: str, horizon: int,
-                    asset: int, lambda_reg: float, target: str = "return") -> RidgeModel:
+                    asset: int, lambda_reg: float) -> RidgeModel:
     """`fit_ridge` on the split's normalized feature rows, computed once by the caller."""
     start, stop = series.usable_range(split)
     n_rows = stop - horizon - start
     if n_rows < 50:
         raise DataError(f"need >= 50 training rows, have {max(n_rows, 0)}")
     close = series.close[start + horizon - 1 : stop, asset]
-    targets = close[1:] - close[:-1]
-    if target == "return":
-        targets = targets / close[:-1]
-    return ridge_solve(features[:n_rows, asset], targets, lambda_reg)
+    returns = (close[1:] - close[:-1]) / close[:-1]
+    return ridge_solve(features[:n_rows, asset], returns, lambda_reg)
 
 
 class RidgeForecaster:
@@ -551,11 +544,11 @@ class NoiseCalibration:
 
 def fit_noise_calibration(source, series: MarketSeries, horizon: int,
                           normalizer: Normalizer | None = None,
-                          split: str = "train", stride: int = 1) -> NoiseCalibration:
+                          split: str = "train") -> NoiseCalibration:
     """Sample variance of predicted feature values per horizon, pooled over
     (forecast date, ticker, feature) tuples of the given split."""
     start, stop = series.usable_range(split)
-    dates = [t for t in range(start, stop, stride)
+    dates = [t for t in range(start, stop)
              if source.available_horizon(series, t) >= horizon]
     built = build_trajectories(source, series, dict.fromkeys(dates, horizon), normalizer)
     states = [built.at(t).states for t in dates]

@@ -30,7 +30,9 @@ def _add_common(p, out_required=True):
     p.add_argument("--config", required=True, help="path to a JSON config file")
     p.add_argument("--out", default="out", required=False, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seeds with one seed")
-    p.add_argument("--workers", type=int, default=None, help="override worker pool size")
+    p.add_argument("--workers", type=int, default=None,
+                   help="override config workers; validated and echoed into results.json, "
+                        "no effect yet: sweep groups run one after another")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,11 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file with the CLI overrides applied, validated again."""
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config.raw["seeds"] = [args.seed]
     if getattr(args, "workers", None) is not None:
         config.raw["workers"] = args.workers
+    _apply_axes(config, getattr(args, "axis", []))
+    config.validate()
     return config
 
 
@@ -151,8 +156,6 @@ def _cmd_forecast_calibrate(args) -> int:
 
 def _cmd_run(args, use_sweep: bool) -> int:
     config = _load_config(args)
-    if use_sweep:
-        _apply_axes(config, args.axis)
     results = run_experiment(config, args.out, use_sweep=use_sweep)
     failed = [c for c in results["cells"] if c["error"]]
     print(f"{len(results['cells']) - len(failed)}/{len(results['cells'])} cells ok -> {args.out}")

@@ -60,12 +60,22 @@ def _merge(defaults: dict, override: dict, path="") -> dict:
     return out
 
 
+def _check_no_repeats(name: str, values: list) -> None:
+    """A repeated seed or sweep value would run identical cells into one report path."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name} repeats {value!r}")
+
+
 class ExperimentConfig:
-    """Validated experiment description; `raw` is the fully-defaulted dict."""
+    """Validated experiment description; `raw` is the fully-defaulted dict.
+
+    A caller that edits `raw` after construction calls `validate` again.
+    """
 
     def __init__(self, raw: dict):
         self.raw = _merge(DEFAULTS, raw)
-        self._validate()
+        self.validate()
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -79,7 +89,7 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         return cls(raw)
 
-    def _validate(self) -> None:
+    def validate(self) -> None:
         raw = self.raw
         if raw["data"]["kind"] not in ("synthetic", "csv"):
             raise ConfigError(f"data.kind must be synthetic or csv, got {raw['data']['kind']!r}")
@@ -91,11 +101,13 @@ class ExperimentConfig:
             raise ConfigError("forecast.kind=external requires forecast.path")
         if not raw["seeds"]:
             raise ConfigError("seeds must be non-empty")
+        _check_no_repeats("seeds", raw["seeds"])
         if raw["workers"] < 1:
             raise ConfigError("workers must be >= 1")
         for axis, values in raw["sweep"].items():
             if values is not None and not isinstance(values, list):
                 raise ConfigError(f"sweep.{axis} must be a list or null")
+            _check_no_repeats(f"sweep.{axis}", values or [])
         if raw["sweep"]["r2"] or raw["cheat"]["enabled"]:
             for r2 in raw["sweep"]["r2"] or [raw["cheat"]["target_r2"]]:
                 if r2 is None or not 0.0 <= r2 <= 1.0:

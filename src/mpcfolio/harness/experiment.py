@@ -9,19 +9,17 @@ loaded, before any pretraining. Grid cells are then pure jobs over read-only
 state. The cells of one (variant, horizon) group share a planner config and
 trade the same dates, so each group runs as one lockstep job
 (`run_pilots`): one batched planner step serves all its cells, and cells
-that share a forecaster share its imagined trajectories. Groups run on a
-thread pool of at most `workers` threads, one per group, whose size cannot
-change any output byte; their steps take turns, so the pool interleaves
-groups rather than computing two at once. Everything lands in one
-results.json from which the table and the SVG plot can be regenerated
-without recomputation.
+that share a forecaster share its imagined trajectories. Groups run one
+after another on the calling thread. The `workers` config key is validated
+and echoed into results.json but changes no schedule and no output byte.
+Everything lands in one results.json from which the table and the SVG plot
+can be regenerated without recomputation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -259,13 +257,7 @@ def run_experiment(config: ExperimentConfig, out_dir, use_sweep: bool = True) ->
     groups = {}
     for job in jobs:
         groups.setdefault((job["variant"], job["horizon"]), []).append(job)
-    threads = min(config.raw["workers"], len(groups))
-    if threads <= 1:
-        done = [run_group(group) for group in groups.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run_group, groups.values()))
-    cells = [cell for group_cells in done for cell in group_cells]
+    cells = [cell for group in groups.values() for cell in run_group(group)]
     cells.sort(key=_cell_sort_key)
 
     aggregates = [_aggregate("baseline", None, None, None, baselines)]

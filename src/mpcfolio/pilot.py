@@ -26,16 +26,16 @@ cells in lockstep: their working parameters are the rows of one (B, P)
 vector, and at each date the cells that plan at the same effective horizon
 share one batched pass for each of the critic bootstraps, the planner's
 forward and reverse passes, the ascent, the telemetry re-score and the
-executed action. Every stacked operation gives each row the bits of its
-lone computation, and each cell keeps its own noise streams, environment
-step and report, so a cell's outputs do not depend on B or on the other
-cells. `run_pilot` is the one-cell call.
+executed action. Each pass spans all B rows and masks out the cells that do
+not take part, so no row is copied. Every stacked operation gives each row
+the bits of its lone computation, and each cell keeps its own noise
+streams, environment step and report, so a cell's outputs do not depend on
+B or on the other cells. `run_pilot` is the one-cell call.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,17 +55,6 @@ from .policy import (
 
 VARIANTS = ("vanilla", "noise_only", "noise_lambda")
 RESET_MODES = ("persist", "reset_each_step")
-
-# Concurrent lockstep runs in one process, such as a sweep's groups on worker
-# threads, take turns one lockstep step at a time, each turn serving every
-# cell of its run. A step's NumPy calls give up the interpreter lock dozens
-# of times over arrays too small to gain from it; two threads trading the
-# lock at each of those points left the CPUs idle while the other thread
-# woke, so a two-thread sweep ran slower than one thread and its speed swung
-# with the host's scheduling latency. The turn spans the whole loop body, so
-# the thread that holds it usually takes its next step before a waiting
-# thread wakes, rather than handing over per step.
-_STEP_TURN = threading.Lock()
 
 # `json.dumps(..., sort_keys=True)` without building an encoder per report line
 _REPORT_JSON = json.JSONEncoder(sort_keys=True)
@@ -182,9 +171,11 @@ class StepReport:
 
 @dataclass
 class _Cell:
-    """One run of a lockstep group: its parameter row, inputs, streams and outputs."""
+    """One run of a lockstep group: its inputs, streams and outputs.
 
-    row: int  # of the cell's working parameters in the stacked vector
+    Cell b's working parameters are row b of the group's stacked vector.
+    """
+
     state: PortfolioState
     rng_action: np.random.Generator | None = None
     rng_noise: np.random.Generator | None = None
@@ -198,57 +189,55 @@ class _Cell:
     stream: object = None
 
 
-def _rows_of(params: PolicyParams, cells: list) -> PolicyParams:
-    """The stacked parameters of `cells`: `params` itself when they are all its
-    rows in order, else a copy of their rows."""
-    rows = [cell.row for cell in cells]
-    if rows == list(range(len(params.vector))):
-        return params
-    return PolicyParams(params.config, params.vector[rows])
-
-
 def _phase1(params: PolicyParams, cells: list, t: int, cfg: "MpcConfig",
             noise_calib: NoiseCalibration | None) -> list:
     """Stacked imagined states, relatives and detached bootstraps for step t.
 
-    Each cell perturbs its own trajectory from t with its own noise stream;
-    with sigma == 0, `perturb` returns the unperturbed path K times and draws
-    nothing. A cell whose forecaster covers no step from t plans nothing, and
-    a cell whose forecast at t was rejected, or whose bootstraps are not
-    finite, records the incident. Returns one (cells, states (b, K, H, N, 11),
-    relatives (b, K, H, N), bootstraps (b, K)) stack per effective horizon H,
-    whose bootstraps are one stacked critic pass.
+    Each cell that has not failed perturbs its own trajectory from t with its
+    own noise stream; with sigma == 0, `perturb` returns the unperturbed path
+    K times and draws nothing. A cell whose forecaster covers no step from t
+    plans nothing, and a cell whose forecast at t was rejected, or whose
+    bootstraps are not finite, records the incident. Returns one (members
+    (B,), states (B, K, H, N, 11), relatives (B, K, H, N), bootstraps (B, K))
+    stack per effective horizon H, whose bootstraps are one stacked critic
+    pass. Every stack covers all B cells; a row outside `members` holds
+    placeholder states 0 and relatives 1, and nothing reads its outputs.
     """
     by_horizon = {}
-    for cell in cells:
+    for b, cell in enumerate(cells):
+        if cell.error is not None:
+            continue
         try:
             traj = cell.trajectories.at(t)
-            if traj is not None:
-                by_horizon.setdefault(traj.horizon, []).append(
-                    (cell, *perturb(traj, noise_calib, cfg.noise_sigma, cfg.particles,
-                                    cell.rng_noise)))
+            if traj is None:
+                continue
+            states, relatives = perturb(traj, noise_calib, cfg.noise_sigma, cfg.particles,
+                                        cell.rng_noise)
         except NumericError as exc:
             cell.report.incident = f"forecast rejected: {exc}"
+            continue
         except Exception as exc:  # noqa: BLE001 - fails this cell, not its group
             cell.error = exc
+            continue
+        if traj.horizon not in by_horizon:
+            by_horizon[traj.horizon] = (np.zeros(len(cells), dtype=bool),
+                                        np.zeros((len(cells), *states.shape)),
+                                        np.ones((len(cells), *relatives.shape)))
+        members, stack_states, stack_relatives = by_horizon[traj.horizon]
+        members[b] = True
+        stack_states[b] = states
+        stack_relatives[b] = relatives
     stacks = []
-    for members in by_horizon.values():
-        stack = [cell for cell, _, _ in members]
-        states = np.array([s for _, s, _ in members])
-        relatives = np.array([r for _, _, r in members])
+    for members, states, relatives in by_horizon.values():
         failures = {}
-        bootstraps = value_rows(_rows_of(params, stack),
-                                states[:, :, -1].reshape(len(stack), cfg.particles, -1),
+        bootstraps = value_rows(params, states[:, :, -1].reshape(len(cells), cfg.particles, -1),
                                 failures=failures)
-        if failures:
-            for i, message in failures.items():
-                stack[i].report.incident = f"forecast rejected: {message}"
-            keep = [i for i in range(len(stack)) if i not in failures]
-            if not keep:
-                continue
-            stack = [stack[i] for i in keep]
-            states, relatives, bootstraps = states[keep], relatives[keep], bootstraps[keep]
-        stacks.append((stack, states, relatives, bootstraps))
+        for b, message in failures.items():
+            if members[b]:
+                members[b] = False
+                cells[b].report.incident = f"forecast rejected: {message}"
+        if members.any():
+            stacks.append((members, states, relatives, bootstraps))
     return stacks
 
 
@@ -433,18 +422,19 @@ def _draw_action_noise(params, cells, alive, shape):
     return noise
 
 
-def _plan(params: PolicyParams, entry: np.ndarray, out: ActorGradient, cells: list, states,
-          relatives, bootstraps, obs_flat, cfg: "MpcConfig", fee_rate: float) -> None:
-    """E ascent epochs for one stack of cells, each writing its row of `params` in place.
+def _plan(params: PolicyParams, entry: np.ndarray, out: ActorGradient, cells: list, members,
+          states, relatives, bootstraps, obs_flat, cfg: "MpcConfig", fee_rate: float) -> None:
+    """E ascent epochs for one stack's `members`, each writing its row of `params` in place.
 
     `entry` holds the rows' actor prefixes at the start of the step, and
-    `out` takes each epoch's gradient. A NumericError of one cell restores
-    its row from `entry`, records its incident and masks the cell out of the
-    rest of the step: it draws no more noise, its row is not updated and its
-    outputs are not read, and the other cells go on unchanged. The reports
-    are written once the epochs are done.
+    `out` takes each epoch's gradient. A row outside `members` is masked out
+    of the whole step, and a NumericError of one member restores its row
+    from `entry`, records its incident and masks it out of the rest of the
+    step: a masked row draws no noise, is not updated and its outputs are
+    not read, and the other cells go on unchanged. The members' reports are
+    written once the epochs are done.
     """
-    alive = np.ones(len(cells), dtype=bool)
+    alive = members.copy()
 
     def fail(failures: dict) -> bool:
         """Record each failed row's incident and restore it; whether any row lives on."""
@@ -476,8 +466,8 @@ def _plan(params: PolicyParams, entry: np.ndarray, out: ActorGradient, cells: li
     if live:
         after, failures = _objective_value(params, rollout, cfg, noise, alive)
         fail(failures)
-    for i, cell in enumerate(cells):
-        report = cell.report
+    for i in np.flatnonzero(members):
+        report = cells[i].report
         epochs = [epoch for epoch in scored if epoch[3][i]]
         if epochs:
             objective, _, _, _ = epochs[0]
@@ -491,10 +481,10 @@ def _plan(params: PolicyParams, entry: np.ndarray, out: ActorGradient, cells: li
 
 
 def _execute(params: PolicyParams, cells: list, obs_flat) -> np.ndarray:
-    """Every cell's deterministic weights (b, N+1) on one observation, from one
+    """Every cell's deterministic weights (B, N+1) on one observation, from one
     stacked actor pass; a cell whose actor output is not finite fails."""
     failures = {}
-    logits = actor_rows(_rows_of(params, cells), obs_flat[None], failures=failures)[:, 0]
+    logits = actor_rows(params, obs_flat[None], failures=failures)[:, 0]
     for i, message in failures.items():
         if cells[i].error is None:
             cells[i].error = NumericError(message)
@@ -506,32 +496,25 @@ def _execute(params: PolicyParams, cells: list, obs_flat) -> np.ndarray:
 def adapt_step(params: PolicyParams, out: ActorGradient, cells: list, obs_flat, t: int,
                cfg: "MpcConfig", fee_rate: float,
                noise_calib: NoiseCalibration | None = None) -> np.ndarray:
-    """Plan step t for every cell in lockstep and return their executed weights (b, N+1).
+    """Plan step t for every cell in lockstep and return their executed weights (B, N+1).
 
     `params` holds the cells' working parameters as stacked rows, written in
     place, and `out` is a gradient buffer of its shape, reused every step.
     Sets each cell's `report` and, for a cell that fails outright, its
-    `error`; such a cell's weights are not to be executed. Phase 1 gives one
-    stack per effective horizon; each stack then runs the E ascent epochs
-    together. A NumericError in either phase becomes that cell's incident:
-    its entry row is written back and its un-adapted action executes. With
-    reset_each_step every entry row is written back after execution too.
+    `error`; a failed cell, from this or an earlier step, plans nothing and
+    its weights are not to be executed. Phase 1 gives one masked stack per
+    effective horizon; each stack then runs the E ascent epochs together. A
+    NumericError in either phase becomes that cell's incident: its entry row
+    is written back and its un-adapted action executes. With reset_each_step
+    every entry row is written back after execution too.
     """
     entry = params.vector[:, :params.actor_size].copy()
     for cell in cells:
         cell.report = StepReport(t=t)
     # every non-finite outcome is checked and becomes an incident
     with np.errstate(all="ignore"):
-        for stack, states, relatives, bootstraps in _phase1(params, cells, t, cfg, noise_calib):
-            rows = [cell.row for cell in stack]
-            stacked = _rows_of(params, stack)
-            if stacked is params:
-                _plan(params, entry, out, stack, states, relatives, bootstraps, obs_flat,
-                      cfg, fee_rate)
-            else:
-                _plan(stacked, entry[rows], ActorGradient(stacked), stack, states, relatives,
-                      bootstraps, obs_flat, cfg, fee_rate)
-                params.vector[rows] = stacked.vector
+        for stack in _phase1(params, cells, t, cfg, noise_calib):
+            _plan(params, entry, out, cells, *stack, obs_flat, cfg, fee_rate)
     weights = _execute(params, cells, obs_flat)
     if cfg.reset_mode == "reset_each_step":
         params.vector[:, :params.actor_size] = entry
@@ -584,31 +567,30 @@ def run_pilots(series: MarketSeries, policies: list, forecasters: list, cfg: Mpc
     planning = cfg.epochs > 0 and cfg.step_size > 0
 
     cells = []
-    for row, seed in enumerate(seeds):
+    for seed in seeds:
         seq = np.random.SeedSequence([seed, 0x5EED])
         rng_action, rng_noise = (np.random.default_rng(s) for s in seq.spawn(2))
         state = PortfolioState(env_config.initial_value, all_cash_weights(series.n_assets), start)
-        cells.append(_Cell(row, state, rng_action, rng_noise, values=[state.value]))
+        cells.append(_Cell(state, rng_action, rng_noise, values=[state.value]))
 
     if planning:
-        # phase 1 for the whole split, once per forecaster, taking one turn like a step does
-        with _STEP_TURN:
-            built = {}
-            for cell, forecaster in zip(cells, forecasters):
-                if id(forecaster) not in built:
-                    try:
-                        horizons = {t: h for t in range(start, last)
-                                    if (h := min(cfg.horizon,
-                                                 forecaster.available_horizon(series, t))) >= 1}
-                        built[id(forecaster)] = build_trajectories(forecaster, series, horizons,
-                                                                   normalizer)
-                    except Exception as exc:  # noqa: BLE001 - fails this forecaster's cells
-                        built[id(forecaster)] = exc
-                outcome = built[id(forecaster)]
-                if isinstance(outcome, Exception):
-                    cell.error = outcome
-                else:
-                    cell.trajectories = outcome
+        # phase 1 for the whole split, once per forecaster
+        built = {}
+        for cell, forecaster in zip(cells, forecasters):
+            if id(forecaster) not in built:
+                try:
+                    horizons = {t: h for t in range(start, last)
+                                if (h := min(cfg.horizon,
+                                             forecaster.available_horizon(series, t))) >= 1}
+                    built[id(forecaster)] = build_trajectories(forecaster, series, horizons,
+                                                               normalizer)
+                except Exception as exc:  # noqa: BLE001 - fails this forecaster's cells
+                    built[id(forecaster)] = exc
+            outcome = built[id(forecaster)]
+            if isinstance(outcome, Exception):
+                cell.error = outcome
+            else:
+                cell.trajectories = outcome
 
     out = ActorGradient(work) if planning else None
     try:
@@ -616,22 +598,20 @@ def run_pilots(series: MarketSeries, policies: list, forecasters: list, cfg: Mpc
             if path and cell.error is None:
                 cell.stream = open(path, "w", encoding="utf-8")
         for t in range(start, last):
-            live = [cell for cell in cells if cell.error is None]
-            if not live:
+            if all(cell.error is not None for cell in cells):
                 break
-            with _STEP_TURN:
-                obs = view.state(t).flat()
-                if planning:
-                    weights = adapt_step(work, out, live, obs, t, cfg, env_config.fee_rate,
-                                         noise_calib=noise_calib)
-                else:
-                    for cell in live:
-                        cell.report = StepReport(t=t)
-                    weights = _execute(work, live, obs)
-                relatives = series.relatives(t)
-                for cell, w in zip(live, weights):
-                    if cell.error is None:
-                        _record(cell, w, relatives, env_config.fee_rate)
+            obs = view.state(t).flat()
+            if planning:
+                weights = adapt_step(work, out, cells, obs, t, cfg, env_config.fee_rate,
+                                     noise_calib=noise_calib)
+            else:
+                for cell in cells:
+                    cell.report = StepReport(t=t)
+                weights = _execute(work, cells, obs)
+            relatives = series.relatives(t)
+            for cell, w in zip(cells, weights):
+                if cell.error is None:
+                    _record(cell, w, relatives, env_config.fee_rate)
     finally:
         for cell in cells:
             if cell.stream is not None:

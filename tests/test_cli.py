@@ -59,6 +59,16 @@ def test_bad_axis_rejected(tmp_path, config_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [["--workers", "0"], ["--axis", "r2=0.5,0.5"]])
+def test_overrides_are_validated(tmp_path, config_path, capsys, override):
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(config_path), "--out", str(out), *override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_report_regenerates_without_recompute(tmp_path, config_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0

@@ -96,6 +96,19 @@ class TestExperimentConfig:
             ExperimentConfig.from_file(tmp_path / "missing.toml")
         assert "missing.toml" in str(err.value)
 
+    def test_repeated_seeds_rejected(self):
+        # repeated seeds would run identical cells into one report path
+        with pytest.raises(ConfigError, match="seeds repeats 0"):
+            _quick_config([0, 1, 0])
+
+    @pytest.mark.parametrize("axis, values", [("r2", [0.5, 0.5]), ("horizon", [2, 3, 2]),
+                                              ("variant", ["vanilla", "vanilla"])])
+    def test_repeated_sweep_values_rejected(self, axis, values):
+        raw = json.loads(_quick_config([0]).to_json())
+        raw["sweep"][axis] = values
+        with pytest.raises(ConfigError, match=f"sweep.{axis} repeats"):
+            ExperimentConfig(raw)
+
     def test_vanilla_variant_forced_clean(self):
         cfg = _quick_config([0])
         cfg.raw["mpc"]["particles"] = 4
@@ -136,6 +149,20 @@ class TestRunExperiment:
                 == (tmp_path / "w4" / "table.txt").read_bytes())
         assert ((tmp_path / "w1" / "curves.svg").read_bytes()
                 == (tmp_path / "w4" / "curves.svg").read_bytes())
+
+    def test_groups_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        def start(self):
+            raise AssertionError("run_experiment started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        cfg = _quick_config([0, 1], workers=4, forecast_kind="zero")
+        cfg.raw["sweep"]["horizon"] = [2, 3]
+        results = run_experiment(cfg, tmp_path)
+        assert sorted({(c["variant"], c["horizon"]) for c in results["cells"]}) == [
+            ("vanilla", 2), ("vanilla", 3)]
+        assert all(c["error"] is None for c in results["cells"])
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = _quick_config([0, 1])

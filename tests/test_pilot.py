@@ -351,7 +351,7 @@ def _step_one(params, obs, t, imagined, cfg, fee_rate=0.001, value=1e5, noise_ca
     """`adapt_step` for one cell from an all-cash portfolio: its executed weights,
     report and working vector."""
     work = PolicyParams.stack([params])
-    cell = _Cell(0, PortfolioState(value, all_cash_weights(params.config.n_assets), t),
+    cell = _Cell(PortfolioState(value, all_cash_weights(params.config.n_assets), t),
                  rng_action, rng_noise, imagined)
     weights = adapt_step(work, ActorGradient(work), [cell], obs.flat(), t, cfg, fee_rate,
                          noise_calib=noise_calib)
@@ -464,8 +464,8 @@ class TestAdaptStep:
 
 
 def _phase1_cells(imagined, t, rows, rng_seed=7):
-    return [_Cell(row, None, rng_noise=np.random.default_rng(rng_seed), trajectories=imagined,
-                  report=StepReport(t=t)) for row in range(rows)]
+    return [_Cell(None, rng_noise=np.random.default_rng(rng_seed), trajectories=imagined,
+                  report=StepReport(t=t)) for _ in range(rows)]
 
 
 class TestPhase1:
@@ -483,9 +483,9 @@ class TestPhase1:
         params = PolicyParams.stack([PolicyParams(PolicyConfig(n_assets=2, hidden=(8,),
                                                                init_seed=seed))
                                      for seed in (0, 99)])
-        ((cells, states, relatives, boots),) = _phase1(params, _phase1_cells(imagined, t, 2),
-                                                       t, cfg, calib)
-        assert [cell.row for cell in cells] == [0, 1]
+        ((members, states, relatives, boots),) = _phase1(params, _phase1_cells(imagined, t, 2),
+                                                         t, cfg, calib)
+        assert members.tolist() == [True, True]
         assert states.shape == (2, 4, 3, 2, 11) and relatives.shape == (2, 4, 3, 2)
         assert np.array_equal(states[0], states[1])
         assert np.array_equal(relatives[0], relatives[1])
@@ -507,6 +507,23 @@ class TestPhase1:
         assert np.array_equal(relatives[0, 0], traj.relatives)
         assert boots.shape == (1, 1)
         assert cells[0].rng_noise.standard_normal() == np.random.default_rng(7).standard_normal()
+
+    def test_failed_cell_is_masked_out_of_the_stack(self, two_asset_market):
+        series = two_asset_market
+        t = series.usable_range("test")[0]
+        params = PolicyParams.stack([PolicyParams(PolicyConfig(n_assets=2, hidden=(8,),
+                                                               init_seed=seed))
+                                     for seed in range(3)])
+        imagined = build_trajectories(PerfectForecaster(), series, {t: 3},
+                                      FeatureView(series).normalizer("test"))
+        cells = _phase1_cells(imagined, t, 3)
+        cells[1].error = ValueError("failed at an earlier step")
+        ((members, states, relatives, boots),) = _phase1(params, cells, t,
+                                                         MpcConfig(horizon=3), None)
+        assert members.tolist() == [True, False, True]
+        assert np.array_equal(states[0], states[2])
+        assert not states[1].any() and np.all(relatives[1] == 1.0)
+        assert boots.shape == (3, 1)
 
     def test_noise_drawn_once_per_step(self, two_asset_market):
         series = two_asset_market
@@ -986,6 +1003,38 @@ class TestLockstep:
                               "adaptation aborted: non-finite gradient")]
         for b in (0, 2):
             assert _outcome_bytes(outcomes[b]) == _outcome_bytes(clean[b])
+
+    @pytest.mark.parametrize("particles", [1, 3])
+    def test_cell_failing_mid_run_leaves_the_others_alone(self, tmp_path, monkeypatch,
+                                                          particles):
+        from mpcfolio import pilot
+        from mpcfolio.errors import DataError
+
+        series, view, (ridge, cheat, _, _), calib = _lockstep_world()
+        cfg = _lockstep_cfg(particles)
+        calib = calib if cfg.noise_sigma > 0 else None
+        policies, seeds = _lockstep_policies("stochastic", [1, 2, 3]), [4, 5, 6]
+        forecasters = [ridge, cheat, ridge]
+        solo = [_solo(series, view, p, f, cfg, s, calib)
+                for p, f, s in zip(policies, forecasters, seeds)]
+        real_step, calls = pilot.step, []
+
+        def step(*args):
+            calls.append(None)
+            if len(calls) == 3 * 5 + 2:  # cells step in order, so this is cell 1's sixth
+                raise DataError("injected step failure")
+            return real_step(*args)
+
+        monkeypatch.setattr(pilot, "step", step)
+        paths = [tmp_path / f"cell{b}.jsonl" for b in range(3)]
+        outcomes = run_pilots(series, policies, forecasters, cfg, seeds,
+                              env_config=EnvConfig(n_assets=2), noise_calib=calib, view=view,
+                              report_paths=paths)
+        assert isinstance(outcomes[1], DataError)
+        assert len(paths[1].read_text().splitlines()) == 5
+        for b in (0, 2):
+            assert _outcome_bytes(outcomes[b]) == _outcome_bytes(solo[b])
+            assert len(paths[b].read_text().splitlines()) == len(solo[b].reports)
 
     def test_raising_forecaster_fails_only_its_cells(self, tmp_path):
         series, _, (ridge, cheat, _, _), _ = _lockstep_world()
