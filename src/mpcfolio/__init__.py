@@ -11,7 +11,6 @@ from .forecast import (
     RidgeForecaster,
     ZeroForecaster,
     build_trajectories,
-    build_trajectory,
     calibrate_cheat,
     context_mean_baseline,
     fit_noise_calibration,
@@ -43,12 +42,9 @@ from .policy import (
     PolicyConfig,
     PolicyParams,
     act,
-    checkpoint,
     load_checkpoint,
     pretrain,
-    restore,
     save_checkpoint,
-    value,
 )
 
 __version__ = "0.1.0"

@@ -111,16 +111,22 @@ class EpisodeResult:
     logits: np.ndarray = field(repr=False, default=None)
 
 
+def require_deterministic(mode: str) -> None:
+    """Acting is deterministic; only pretraining samples actions."""
+    if mode != "deterministic":
+        raise ConfigError(f"unknown act mode {mode!r}; only 'deterministic' is supported")
+
+
 def run_episode(series: MarketSeries, policy, mode: str = "deterministic",
-                seed: int = 0, split: str = "test",
-                env_config: EnvConfig | None = None,
+                split: str = "test", env_config: EnvConfig | None = None,
                 view: FeatureView | None = None) -> EpisodeResult:
-    """Roll the policy through one split; deterministic given the seed.
+    """Roll the policy deterministically through one split.
 
     The policy object holds its own parameters and exposes
-    `policy.act(obs, mode, rng)`, which returns an object with `.weights` and
+    `policy.act(obs, mode)`, which returns an object with `.weights` and
     `.logits`.
     """
+    require_deterministic(mode)
     if env_config is None:
         env_config = EnvConfig(n_assets=series.n_assets)
     if env_config.n_assets != series.n_assets:
@@ -128,7 +134,6 @@ def run_episode(series: MarketSeries, policy, mode: str = "deterministic",
             f"env_config.n_assets={env_config.n_assets} != series assets {series.n_assets}"
         )
     view = view or FeatureView(series)
-    rng = np.random.default_rng(seed)
     start, stop = series.usable_range(split)
     last = min(stop, series.n_days) - 1
     if last <= start:
@@ -143,7 +148,7 @@ def run_episode(series: MarketSeries, policy, mode: str = "deterministic",
     rewards, targets, logits = [], [], []
     for t in range(start, last):
         obs = view.state(t)
-        act_out = policy.act(obs, mode=mode, rng=rng)
+        act_out = policy.act(obs, mode=mode)
         target = act_out.weights
         state, reward = step(state, target, series.relatives(t), env_config.fee_rate)
         values.append(state.value)

@@ -522,12 +522,6 @@ def build_trajectories(source, series: MarketSeries, horizons: dict,
     return TrajectorySet(trajectories, rejected)
 
 
-def build_trajectory(source, series: MarketSeries, t: int, horizon: int,
-                     normalizer: Normalizer | None = None) -> ForecastTrajectory:
-    """Compose predicted movements into a trajectory of states and relatives."""
-    return build_trajectories(source, series, {t: horizon}, normalizer).at(t)
-
-
 # -- forecast noise ----------------------------------------------------------------
 
 

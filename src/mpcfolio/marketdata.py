@@ -249,11 +249,6 @@ def feature_range_from_closes(closes: np.ndarray, t0: int, t1: int) -> np.ndarra
     return _window_features(closes, t0, t1)
 
 
-def features_from_closes(closes: np.ndarray, t: int) -> np.ndarray:
-    """Feature matrix (N, 11) at day t of a close-only path."""
-    return feature_range_from_closes(closes, t, t + 1)[0]
-
-
 class Normalizer:
     """Per-(asset, feature) z-score statistics fitted on one split."""
 

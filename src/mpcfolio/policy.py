@@ -3,8 +3,8 @@
 The actor maps the N x 11 observation to N+1 allocation logits; a softmax
 projects them onto the simplex. The critic produces a scalar state value on
 its own trunk by default (a shared trunk is available behind a flag). The
-stochastic head adds a state-independent learnable log-std and samples logits
-by reparameterization, so sampled allocations stay differentiable.
+stochastic head adds a state-independent learnable log-std; pretraining
+samples logits from it by reparameterization, while acting is deterministic.
 
 Parameters live in one contiguous float64 vector, which is also the
 checkpoint format; each named array is a C-contiguous view into it, and the
@@ -13,11 +13,11 @@ architecture can also be held as the rows of one (B, P) vector
 (`PolicyParams.stack`); then every named array has a leading B axis, and the
 inference and planner passes run all B policies in one call per layer, each
 row with the bits of its own lone pass. Every gradient is written out by
-hand: the planner differentiates the batched actor pass (`actor_forward`,
-`actor_backward`) into one flat actor gradient per policy, and the two
-pretrainers differentiate their single-sample losses (`_forward`,
-`_backward`) into a gradient vector with the parameters' layout, which Adam
-applies in place.
+hand, through one network pass and its reverse (`mlp_forward`,
+`mlp_backward`) over rows of observations: the planner runs them over its
+batched rollout, through the softmax and log-std head of `actor_forward` and
+`actor_backward`, and the two pretrainers and their critic bootstrap run them
+over one row, through their single-sample loss heads.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvConfig, PortfolioState, all_cash_weights, softmax_weights, step
+from .env import (EnvConfig, PortfolioState, all_cash_weights, require_deterministic,
+                  run_episode, softmax_weights, step)
 from .errors import ConfigError, NumericError, ShapeError, TrainingError
 from .marketdata import FeatureView, MarketSeries, StateFeatures
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 CHECKPOINT_FORMAT = "mpcfolio-policy"
 CHECKPOINT_VERSION = 1
@@ -262,10 +261,6 @@ def actor_logits(params: PolicyParams, obs) -> np.ndarray:
     return actor_rows(params, _flatten_obs(obs)[None])[0]
 
 
-def value(params: PolicyParams, obs) -> float:
-    return float(value_rows(params, _flatten_obs(obs)[None])[0])
-
-
 def value_rows(params: PolicyParams, x: np.ndarray, failures: dict | None = None) -> np.ndarray:
     """The critic's value of each row of x (..., rows, in), in one stacked pass.
 
@@ -279,28 +274,13 @@ def value_rows(params: PolicyParams, x: np.ndarray, failures: dict | None = None
 class ActOutput:
     logits: np.ndarray
     weights: np.ndarray
-    log_prob: float | None = None
 
 
-def act(params: PolicyParams, obs, mode: str | None = None, rng=None) -> ActOutput:
-    """Allocation for one observation; stochastic mode reparameterizes logits."""
-    mode = mode or params.config.mode
-    mean = actor_logits(params, obs)
-    if mode == "deterministic":
-        return ActOutput(logits=mean, weights=softmax_weights(mean))
-    if params.config.mode != "stochastic":
-        raise ConfigError("policy was built deterministic; cannot sample")
-    if rng is None:
-        raise ConfigError("stochastic mode requires an rng")
-    std = np.exp(params.values["actor.log_std"])
-    z = rng.standard_normal(params.config.action_dim)
-    logits = mean + std * z
-    log_prob = float(
-        -0.5 * np.sum(((logits - mean) / std) ** 2)
-        - np.sum(params.values["actor.log_std"])
-        - 0.5 * LOG_2PI * params.config.action_dim
-    )
-    return ActOutput(logits=logits, weights=softmax_weights(logits), log_prob=log_prob)
+def act(params: PolicyParams, obs, mode: str = "deterministic") -> ActOutput:
+    """Allocation for one observation: the softmax of the mean logits."""
+    require_deterministic(mode)
+    logits = actor_logits(params, obs)
+    return ActOutput(logits=logits, weights=softmax_weights(logits))
 
 
 class Agent:
@@ -309,31 +289,80 @@ class Agent:
     def __init__(self, params: PolicyParams):
         self.params = params
 
-    def act(self, obs, mode=None, rng=None) -> ActOutput:
-        return act(self.params, obs, mode=mode, rng=rng)
+    def act(self, obs, mode: str = "deterministic") -> ActOutput:
+        return act(self.params, obs, mode=mode)
 
 
-# -- batched actor pass with a hand-written reverse ----------------------------
+# -- the network pass and its hand-written reverse -------------------------------
+#
+# Tests pin the pretrained vectors and the planner's outputs byte for byte, so
+# the reverse fixes which floating-point operations run and in what order:
+# weight gradients are outer products summed over rows, input gradients
+# g @ W, and a parameter reached by several paths sums their terms in one
+# fixed order.
+
+
+def mlp_forward(params: PolicyParams, trunk: str, head: str, x: np.ndarray) -> list:
+    """[x, hidden activations..., head output] for the rows of x (..., rows, in).
+
+    `trunk` is the prefix of the hidden layers and `head` that of the output
+    layer ("actor.head" or "critic.head"). `x` is (rows, in), or (B, rows, in)
+    for (B, P) stacked parameters, whose matmuls are then stacked GEMMs with
+    the bits of one GEMM per policy; one row gets the bits of `W @ x`.
+    Nothing is checked for finiteness; the caller checks what it computes.
+    """
+    v = params.values
+    acts = [x]
+    for i in range(len(params.config.hidden)):
+        acts.append(np.tanh(np.matmul(acts[-1], v[f"{trunk}.w{i}"].swapaxes(-1, -2))
+                            + v[f"{trunk}.b{i}"][..., None, :]))
+    acts.append(np.matmul(acts[-1], v[f"{head}_w"].swapaxes(-1, -2))
+                + v[f"{head}_b"][..., None, :])
+    return acts
+
+
+def mlp_backward(params: PolicyParams, grads: dict, trunk: str, head: str, acts: list,
+                 g: np.ndarray, add_to_trunk: bool = False) -> None:
+    """Reverse of `mlp_forward` for the head-output gradient g (..., rows, out).
+
+    Writes into `grads`, a dict of arrays laid out like `params.values`. The
+    head's arrays are overwritten. The trunk's are too, unless `add_to_trunk`:
+    then this path's terms are added to those already there, as for the
+    actor's pass through a trunk shared with the critic.
+    """
+    v = params.values
+    # a weight gradient sums one outer product per row; for one row,
+    # np.multiply gives the k=1 GEMM's bits at a fraction of its per-call cost
+    one_row = g.shape[-2] == 1
+    outer = np.multiply if one_row else np.matmul
+    w, b, add = f"{head}_w", f"{head}_b", False
+    for i in range(len(acts) - 2, -1, -1):  # acts[i] is the layer's input
+        if add:
+            grads[w] += outer(g.swapaxes(-1, -2), acts[i])
+            grads[b] += g[..., 0, :] if one_row else g.sum(axis=-2)
+        else:
+            outer(g.swapaxes(-1, -2), acts[i], out=grads[w])
+            if one_row:
+                grads[b][...] = g[..., 0, :]
+            else:
+                g.sum(axis=-2, out=grads[b])
+        if i:
+            g = np.matmul(g, v[w]) * (1.0 - acts[i] * acts[i])
+            w, b, add = f"{trunk}.w{i - 1}", f"{trunk}.b{i - 1}", add_to_trunk
 
 
 def actor_forward(params: PolicyParams, x: np.ndarray, z: np.ndarray | None = None):
     """Allocations for a batch of flat observations, one per row of `x`.
 
-    `x` is (rows, in), or (B, rows, in) for (B, P) stacked parameters, whose
-    matmuls are then stacked GEMMs with the bits of one GEMM per policy. Pass
+    `x` is (rows, in), or (B, rows, in) for (B, P) stacked parameters. Pass
     `z` draws, one row per observation, to sample logits by
     reparameterization. Returns the (..., rows, N+1) softmax weights and the
-    layer activations that `actor_backward` reuses.
+    `mlp_forward` activations that `actor_backward` reuses.
     """
-    v = params.values
-    acts = [x]
-    for i in range(len(params.config.hidden)):
-        acts.append(np.tanh(np.matmul(acts[-1], v[f"actor.w{i}"].swapaxes(-1, -2))
-                            + v[f"actor.b{i}"][..., None, :]))
-    logits = (np.matmul(acts[-1], v["actor.head_w"].swapaxes(-1, -2))
-              + v["actor.head_b"][..., None, :])
+    acts = mlp_forward(params, "actor", "actor.head", x)
+    logits = acts[-1]
     if z is not None:
-        logits = logits + np.exp(v["actor.log_std"])[..., None, :] * z
+        logits = logits + np.exp(params.values["actor.log_std"])[..., None, :] * z
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True), acts
 
@@ -358,7 +387,6 @@ def actor_backward(params: PolicyParams, acts: list, weights: np.ndarray,
     per policy, written into `out` (a fresh buffer when None) and returned;
     the log-std entries are 0 when no `z` draws were used.
     """
-    v = params.values
     if out is None:
         out = ActorGradient(params)
     grads = out.values
@@ -367,39 +395,13 @@ def actor_backward(params: PolicyParams, acts: list, weights: np.ndarray,
         if z is None:
             grads["actor.log_std"][...] = 0.0
         else:
-            np.multiply(np.exp(v["actor.log_std"]), (g * z).sum(axis=-2),
+            np.multiply(np.exp(params.values["actor.log_std"]), (g * z).sum(axis=-2),
                         out=grads["actor.log_std"])
-    g.sum(axis=-2, out=grads["actor.head_b"])
-    np.matmul(g.swapaxes(-1, -2), acts[-1], out=grads["actor.head_w"])
-    g = np.matmul(g, v["actor.head_w"])
-    for i in reversed(range(len(params.config.hidden))):
-        g = g * (1.0 - acts[i + 1] ** 2)
-        g.sum(axis=-2, out=grads[f"actor.b{i}"])
-        np.matmul(g.swapaxes(-1, -2), acts[i], out=grads[f"actor.w{i}"])
-        if i:
-            g = np.matmul(g, v[f"actor.w{i}"])
+    mlp_backward(params, grads, "actor", "actor.head", acts, g)
     return out.flat
 
 
 # -- checkpointing -------------------------------------------------------------
-
-
-@dataclass
-class Checkpoint:
-    config: PolicyConfig
-    flat: np.ndarray
-
-
-def checkpoint(params: PolicyParams) -> Checkpoint:
-    return Checkpoint(config=params.config, flat=params.flat())
-
-
-def restore(params: PolicyParams, snapshot: Checkpoint) -> None:
-    if snapshot.config != params.config:
-        raise ShapeError(
-            f"checkpoint architecture {snapshot.config} does not match {params.config}"
-        )
-    params.set_flat(snapshot.flat)
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:
@@ -488,8 +490,6 @@ class _AdvantageNorm:
 
 def mean_train_reward(series, params, env_config, view=None) -> float:
     """Deterministic mean step reward on the train split."""
-    from .env import run_episode
-
     result = run_episode(series, Agent(params), mode="deterministic",
                          split="train", env_config=env_config, view=view)
     return float(result.rewards.mean())
@@ -537,6 +537,7 @@ def pretrain(series: MarketSeries, env_config: EnvConfig,
     scale = env_config.initial_value
     fee = env_config.fee_rate
     adv_norm = _AdvantageNorm()
+    critic_trunk = "actor" if config.shared_trunk else "critic"
 
     best_score = mean_train_reward(series, params, env_config, view=view)
     best_flat = params.flat()
@@ -545,21 +546,25 @@ def pretrain(series: MarketSeries, env_config: EnvConfig,
         state = PortfolioState(env_config.initial_value, all_cash_weights(series.n_assets), start)
         for t in range(start, stop - 1):
             rel = series.relatives(t)
-            acts = _forward(params, "actor", "actor.head", view.state(t).flat())
-            v_next = value(params, view.state(t + 1).flat()) if t + 1 < stop - 1 else 0.0
+            acts = mlp_forward(params, "actor", "actor.head", view.state(t).flat()[None])
+            mean = acts[-1][0]
+            # a non-finite bootstrap makes the loss non-finite, checked below
+            v_next = (float(mlp_forward(params, critic_trunk, "critic.head",
+                                        view.state(t + 1).flat()[None])[-1][0, 0])
+                      if t + 1 < stop - 1 else 0.0)
             if algo == "stochastic-ac":
                 z = rng.standard_normal(config.action_dim)
-                sampled = acts[-1] + np.exp(params.values["actor.log_std"]) * z
+                sampled = mean + np.exp(params.values["actor.log_std"]) * z
                 next_state, reward = step(state, softmax_weights(sampled), rel, fee)
                 # transitions are action-independent, so the mean action's reward from
                 # the same portfolio state is an exact counterfactual baseline
-                _, reward_mean = step(state, softmax_weights(acts[-1]), rel, fee)
+                _, reward_mean = step(state, softmax_weights(mean), rel, fee)
                 adv = adv_norm.update((reward - reward_mean) / scale)
                 loss = _stochastic_loss(params, grads, acts, sampled, adv,
                                         reward / scale + gamma * v_next,
                                         value_coef, entropy_coef)
             else:
-                next_state, reward = step(state, softmax_weights(acts[-1]), rel, fee)
+                next_state, reward = step(state, softmax_weights(mean), rel, fee)
                 loss = _deterministic_loss(params, grads, acts, state, rel, scale, fee,
                                            reward / scale + gamma * v_next, value_coef)
             opt.update(params, grads.vector)
@@ -575,61 +580,15 @@ def pretrain(series: MarketSeries, env_config: EnvConfig,
     return params
 
 
-# The pretraining losses are single-sample and differentiated by hand. Their
-# reverse passes fix which floating-point operations run and in what order,
-# because tests pin the pretrained vectors byte for byte: weight gradients are
-# outer products, input gradients W.T @ g, and a parameter reached by several
-# paths sums their terms in one fixed order.
-
-
-def _forward(params: PolicyParams, trunk: str, head: str, x: np.ndarray) -> list:
-    """[x, hidden activations..., head output] for one flat observation.
-
-    `trunk` is the prefix of the hidden layers and `head` that of the output
-    layer ("actor.head" or "critic.head"). Nothing is checked for finiteness;
-    the caller checks the loss.
-    """
-    acts = [x]
-    for i in range(len(params.config.hidden)):
-        acts.append(np.tanh(params.values[f"{trunk}.w{i}"] @ acts[-1]
-                            + params.values[f"{trunk}.b{i}"]))
-    acts.append(params.values[f"{head}_w"] @ acts[-1] + params.values[f"{head}_b"])
-    return acts
-
-
-def _backward(params: PolicyParams, grads: PolicyParams, trunk: str, head: str,
-              acts: list, g: np.ndarray, add_to_trunk: bool = False) -> None:
-    """Reverse of `_forward` for the output gradient `g`, written into `grads`.
-
-    The head's gradient arrays are overwritten. The trunk's are too, unless
-    `add_to_trunk`: then this path's terms are added to those already there,
-    as for the actor's pass through a trunk shared with the critic.
-    """
-    out = grads.values
-    np.multiply(g[:, None], acts[-2], out=out[f"{head}_w"])
-    out[f"{head}_b"][...] = g
-    g = params.values[f"{head}_w"].T @ g
-    for i in reversed(range(len(acts) - 2)):
-        g = g * (1.0 - acts[i + 1] * acts[i + 1])
-        w, b = f"{trunk}.w{i}", f"{trunk}.b{i}"
-        if add_to_trunk:
-            out[w] += np.outer(g, acts[i])
-            out[b] += g
-        else:
-            np.multiply(g[:, None], acts[i], out=out[w])
-            out[b][...] = g
-        if i:
-            g = params.values[w].T @ g
-
-
 def _critic_loss(params: PolicyParams, grads: PolicyParams, x: np.ndarray,
                  target: float, value_coef: float) -> float:
-    """value_coef * (V(x) - target)^2; writes the critic's gradient (and a shared trunk's)."""
+    """value_coef * (V(x) - target)^2 for one row x (1, in); writes the critic's
+    gradient (and a shared trunk's)."""
     trunk = "actor" if params.config.shared_trunk else "critic"
-    acts = _forward(params, trunk, "critic.head", x)
+    acts = mlp_forward(params, trunk, "critic.head", x)
     err = np.sum(acts[-1]) - target
-    _backward(params, grads, trunk, "critic.head", acts,
-              np.full(1, value_coef * 2 * err))
+    mlp_backward(params, grads.values, trunk, "critic.head", acts,
+                 np.full((1, 1), value_coef * 2 * err))
     return err ** 2 * value_coef
 
 
@@ -638,13 +597,13 @@ def _stochastic_loss(params: PolicyParams, grads: PolicyParams, acts: list,
                      value_coef: float, entropy_coef: float) -> float:
     """Score-function loss of one sampled action, plus the critic and entropy terms.
 
-    `acts` is the actor's `_forward` pass for the observation and `sampled`
-    the logits drawn from it. Returns the loss and writes its gradient into
-    `grads`.
+    `acts` is the actor's `mlp_forward` pass over the observation as one row
+    and `sampled` the logits drawn from it. Returns the loss and writes its
+    gradient into `grads`.
     """
     log_std = params.values["actor.log_std"]
     std = np.exp(log_std)
-    shift = sampled - acts[-1]
+    shift = sampled - acts[-1][0]
     diff = shift / std
     log_prob = np.sum(diff * diff) * -0.5 - np.sum(log_std)
     critic = _critic_loss(params, grads, acts[0], target, value_coef)
@@ -656,8 +615,8 @@ def _stochastic_loss(params: PolicyParams, grads: PolicyParams, acts: list,
     # log-std terms in fixed order: through std, then log_prob's -sum(log_std)
     # (which gives +adv), then the entropy bonus
     grads.values["actor.log_std"][...] = g_std * std + adv + -entropy_coef
-    _backward(params, grads, "actor", "actor.head", acts, -(g_diff / std),
-              add_to_trunk=params.config.shared_trunk)
+    mlp_backward(params, grads.values, "actor", "actor.head", acts, -(g_diff / std)[None],
+                 add_to_trunk=params.config.shared_trunk)
     return log_prob * -adv + critic + np.sum(log_std) * -entropy_coef
 
 
@@ -669,7 +628,7 @@ def _deterministic_loss(params: PolicyParams, grads: PolicyParams, acts: list,
     The reward is the env step's in units of `scale`, differentiable in the
     allocation. Returns the loss and writes its gradient into `grads`.
     """
-    logits = acts[-1]
+    logits = acts[-1][0]
     e = np.exp(logits - logits.max())
     w = e / e.sum()
     relm1_full = np.concatenate(([0.0], rel - 1.0))
@@ -684,6 +643,6 @@ def _deterministic_loss(params: PolicyParams, grads: PolicyParams, acts: list,
     # loss = -reward: d/d kept is -grown, d/d grown is -kept
     g_w = (grown * fee_value) * np.sign(turn) + -kept * relm1_full
     g_logits = w * (g_w - np.dot(g_w, w))
-    _backward(params, grads, "actor", "actor.head", acts, g_logits,
-              add_to_trunk=params.config.shared_trunk)
+    mlp_backward(params, grads.values, "actor", "actor.head", acts, g_logits[None],
+                 add_to_trunk=params.config.shared_trunk)
     return critic - reward

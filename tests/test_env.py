@@ -14,7 +14,7 @@ from mpcfolio.env import (
     step,
     transaction_cost,
 )
-from mpcfolio.errors import DataError, NumericError
+from mpcfolio.errors import ConfigError, DataError, NumericError
 from mpcfolio.policy import Agent, PolicyConfig, PolicyParams
 
 
@@ -188,15 +188,12 @@ class TestRunEpisode:
         adj = closes * (0.98 + 0.001 * rng.random(closes.shape))
         return make_series(closes, open_=opens, high=high, low=low, adj_close=adj)
 
-    def test_deterministic_given_seed(self):
+    def test_only_deterministic_mode(self):
         series = self._series(self._distinct_closes(200, 2))
         params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), mode="stochastic"))
-        a = run_episode(series, Agent(params), mode="stochastic", seed=11,
+        with pytest.raises(ConfigError, match="'stochastic'"):
+            run_episode(series, Agent(params), mode="stochastic",
                         env_config=EnvConfig(n_assets=2))
-        b = run_episode(series, Agent(params), mode="stochastic", seed=11,
-                        env_config=EnvConfig(n_assets=2))
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.weights, b.weights)
 
     def test_constant_market_only_fees(self):
         closes = np.full((200, 2), 80.0)
@@ -211,7 +208,7 @@ class TestRunEpisode:
         series = make_series(closes)
 
         class AllCash:
-            def act(self, obs, mode=None, rng=None):
+            def act(self, obs, mode=None):
                 from mpcfolio.policy import ActOutput
                 return ActOutput(logits=np.zeros(2), weights=all_cash_weights(1))
 
@@ -226,7 +223,7 @@ class TestRunEpisode:
         series = make_series(closes)
 
         class AllIn:
-            def act(self, obs, mode=None, rng=None):
+            def act(self, obs, mode=None):
                 from mpcfolio.policy import ActOutput
                 return ActOutput(logits=np.zeros(2), weights=np.array([0.0, 1.0]))
 

@@ -20,7 +20,6 @@ from mpcfolio.forecast import (
     RidgeForecaster,
     ZeroForecaster,
     build_trajectories,
-    build_trajectory,
     calibrate_cheat,
     collect_forecast_grid,
     context_mean_baseline,
@@ -35,7 +34,7 @@ from mpcfolio.marketdata import (
     WARMUP_DAYS,
     FeatureView,
     compute_features,
-    features_from_closes,
+    feature_range_from_closes,
     fit_normalizer,
 )
 from oracles import context_mean_oracle, series_slice_mean_features, slice_mean_features
@@ -154,7 +153,7 @@ class TestFitRidge:
 class TestTrajectory:
     def test_zero_movement_constant_path(self, small_market):
         t = small_market.usable_range("test")[0]
-        traj = build_trajectory(ZeroForecaster(), small_market, t, 4)
+        traj = build_trajectories(ZeroForecaster(), small_market, {t: 4}).at(t)
         assert np.all(traj.prices == small_market.close[t])
         assert np.all(traj.relatives == 1.0)
         # flat path: intraday, adjusted and one-day-return features all zero
@@ -162,7 +161,7 @@ class TestTrajectory:
 
     def test_horizon_one(self, small_market):
         t = small_market.usable_range("test")[0]
-        traj = build_trajectory(ZeroForecaster(), small_market, t, 1)
+        traj = build_trajectories(ZeroForecaster(), small_market, {t: 1}).at(t)
         assert traj.states.shape[0] == 1
         assert traj.relatives.shape == (1, small_market.n_assets)
 
@@ -171,7 +170,7 @@ class TestTrajectory:
         series = make_series(closes)  # flat intraday bars: open=high=low=adj=close
         t = series.usable_range("test")[0] + 3
         h = 6
-        traj = build_trajectory(PerfectForecaster(), series, t, h, normalizer=None)
+        traj = build_trajectories(PerfectForecaster(), series, {t: h}, None).at(t)
         for j in range(1, h + 1):
             realized = compute_features(series, t + j)
             assert np.max(np.abs(traj.states[j - 1] - realized)) < 1e-9
@@ -180,7 +179,7 @@ class TestTrajectory:
 
     def test_context_mean_source_shape(self, small_market):
         t = small_market.usable_range("test")[0]
-        traj = build_trajectory(ContextMeanForecaster(10), small_market, t, 3)
+        traj = build_trajectories(ContextMeanForecaster(10), small_market, {t: 3}).at(t)
         assert traj.prices.shape == (3, small_market.n_assets)
 
     def test_forecast_ignores_future_bars(self, rng):
@@ -249,7 +248,7 @@ class TestBuildTrajectories:
             assert not built.rejected
             for t, h in horizons.items():
                 got = built.at(t)
-                one = build_trajectory(source, series, t, h, normalizer=normalizer)
+                one = build_trajectories(source, series, {t: h}, normalizer).at(t)
                 prices, relatives, states = self._reference(source, series, t, h)
                 if normalizer is not None:
                     states = normalizer.apply(states)
@@ -380,7 +379,7 @@ class TestCalibrateCheat:
 class TestNoise:
     def test_sigma_zero_identity(self, small_market):
         t = small_market.usable_range("test")[0]
-        traj = build_trajectory(ZeroForecaster(), small_market, t, 2)
+        traj = build_trajectories(ZeroForecaster(), small_market, {t: 2}).at(t)
         rng = np.random.default_rng(0)
         states, relatives = perturb(traj, None, 0.0, 4, rng)
         assert states.shape == (4, *traj.states.shape)
@@ -399,7 +398,7 @@ class TestNoise:
         calib = fit_noise_calibration(ZeroForecaster(), small_market, 3,
                                       normalizer=view.normalizer("train"), split="train")
         t = small_market.usable_range("test")[0]
-        traj = build_trajectory(ZeroForecaster(), small_market, t, 3, normalizer=norm)
+        traj = build_trajectories(ZeroForecaster(), small_market, {t: 3}, norm).at(t)
         states, relatives = perturb(traj, calib, 0.5, 4, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         scale = 0.5 * np.sqrt(calib.sigma2)[:, None, None]
@@ -417,7 +416,7 @@ class TestNoise:
                                       normalizer=None, split="train")
         assert np.all(calib.sigma2 == 0.0)
         t = series.usable_range("test")[0]
-        traj = build_trajectory(ZeroForecaster(), series, t, 2, normalizer=None)
+        traj = build_trajectories(ZeroForecaster(), series, {t: 2}, None).at(t)
         states, relatives = perturb(traj, calib, 0.7, 3, np.random.default_rng(0))
         for k in range(3):
             assert np.array_equal(states[k], traj.states)
@@ -431,8 +430,8 @@ class TestNoise:
         calib = fit_noise_calibration(ZeroForecaster(), small_market, 2,
                                       normalizer=norm, split="train")
         t = small_market.usable_range("test")[0]
-        traj = build_trajectory(ZeroForecaster(), small_market, t,
-                                2, normalizer=view.normalizer("test"))
+        traj = build_trajectories(ZeroForecaster(), small_market, {t: 2},
+                                  view.normalizer("test")).at(t)
         rng = np.random.default_rng(99)
         sigma = 0.5
         states, _ = perturb(traj, calib, sigma, 10_000, rng)
@@ -450,7 +449,7 @@ class TestNoise:
         calib = fit_noise_calibration(ZeroForecaster(), small_market, 2,
                                       normalizer=view.normalizer("train"), split="train")
         t = small_market.usable_range("test")[0]
-        traj = build_trajectory(ZeroForecaster(), small_market, t, 2, normalizer=norm)
+        traj = build_trajectories(ZeroForecaster(), small_market, {t: 2}, norm).at(t)
         states, relatives = perturb(traj, calib, 0.5, 1, np.random.default_rng(3))
         z = norm.mean[:, 4] + norm.std[:, 4] * states[0, :, :, 4]
         assert np.max(np.abs(relatives[0] - np.maximum(1.0 + z, 1e-6))) == 0.0
@@ -570,10 +569,10 @@ class TestBatchedRidge:
         norm = FeatureView(series).normalizer("test")
         start, stop = series.usable_range("test")
         for t in range(start, stop - 1):
-            traj = build_trajectory(forecaster, series, t, 5, normalizer=norm)
+            traj = build_trajectories(forecaster, series, {t: 5}, norm).at(t)
             spliced = np.vstack([series.close[t - WARMUP_DAYS + 1 : t + 1], traj.prices])
             for h in range(1, 6):
                 day = WARMUP_DAYS - 1 + h
-                raw = features_from_closes(spliced, day)
+                raw = feature_range_from_closes(spliced, day, day + 1)[0]
                 assert raw.tobytes() == slice_mean_features(spliced, day).tobytes()
                 assert traj.states[h - 1].tobytes() == norm.apply(raw).tobytes()

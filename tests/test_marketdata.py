@@ -17,7 +17,6 @@ from mpcfolio.marketdata import (
     compute_feature_range,
     compute_features,
     feature_range_from_closes,
-    features_from_closes,
     fit_normalizer,
     load_csv,
     trading_dates,
@@ -299,7 +298,8 @@ class TestWindowKernel:
         flat = feature_range_from_closes(series.close, t0, t1)
         want = np.stack([slice_mean_features(series.close, t) for t in range(t0, t1)])
         assert flat.tobytes() == want.tobytes()
-        assert features_from_closes(series.close, t0).tobytes() == want[0].tobytes()
+        one_day = feature_range_from_closes(series.close, t0, t0 + 1)[0]
+        assert one_day.tobytes() == want[0].tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

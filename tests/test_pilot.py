@@ -17,7 +17,6 @@ from mpcfolio.forecast import (
     RidgeForecaster,
     ZeroForecaster,
     build_trajectories,
-    build_trajectory,
     collect_forecast_grid,
     fit_noise_calibration,
     perturb,
@@ -502,7 +501,7 @@ class TestPhase1:
         imagined = build_trajectories(PerfectForecaster(), series, {t: 3}, norm)
         cells = _phase1_cells(imagined, t, 1)
         ((_, states, relatives, boots),) = _phase1(params, cells, t, cfg, None)
-        traj = build_trajectory(PerfectForecaster(), series, t, 3, normalizer=norm)
+        traj = build_trajectories(PerfectForecaster(), series, {t: 3}, norm).at(t)
         assert np.array_equal(states[0, 0], traj.states)
         assert np.array_equal(relatives[0, 0], traj.relatives)
         assert boots.shape == (1, 1)
@@ -810,7 +809,7 @@ class TestGradientCheck:
         view = FeatureView(series)
         norm = view.normalizer("test")
         t = series.usable_range("test")[0] + 1
-        traj = build_trajectory(PerfectForecaster(), series, t, 3, normalizer=norm)
+        traj = build_trajectories(PerfectForecaster(), series, {t: 3}, norm).at(t)
         calib = fit_noise_calibration(ZeroForecaster(), series, 3,
                                       normalizer=view.normalizer("train"))
         states, relatives = perturb(traj, calib, 0.3, 3, np.random.default_rng(1))

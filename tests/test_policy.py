@@ -2,31 +2,31 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_jittered_series
 from mpcfolio.env import EnvConfig, PortfolioState, softmax_weights
-from mpcfolio.errors import ConfigError, NumericError, ShapeError
+from mpcfolio.errors import ConfigError, NumericError, ShapeError, TrainingError
 from mpcfolio.harness import SyntheticMarketSpec, generate_synthetic
 from mpcfolio.pilot import planner_objective
 from mpcfolio.policy import (
     PolicyConfig,
     PolicyParams,
-    _backward,
+    _Adam,
     _deterministic_loss,
-    _forward,
     _stochastic_loss,
     act,
     actor_backward,
     actor_forward,
     actor_logits,
     actor_rows,
-    checkpoint,
     load_checkpoint,
     mean_train_reward,
+    mlp_backward,
+    mlp_forward,
     pretrain,
-    restore,
     save_checkpoint,
-    value,
     value_rows,
 )
 from oracles import central_difference
@@ -48,59 +48,31 @@ class TestAct:
         out = act(zero_params(), np.zeros(22))
         assert out.weights == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
-    def test_tiny_std_matches_deterministic(self, rng):
+    def test_only_deterministic_mode(self):
+        # a stochastic policy acts on its mean logits too; only pretraining samples
         params = small_params(mode="stochastic", seed=3)
-        params.values["actor.log_std"][:] = np.log(1e-12)
-        x = rng.standard_normal(22)
-        det = act(params, x, mode="deterministic")
-        sto = act(params, x, mode="stochastic", rng=np.random.default_rng(0))
-        assert np.max(np.abs(det.weights - sto.weights)) < 1e-9
-
-    def test_fixed_seed_reproduces_samples(self, rng):
-        params = small_params(mode="stochastic")
-        x = rng.standard_normal(22)
-        a = act(params, x, mode="stochastic", rng=np.random.default_rng(5))
-        b = act(params, x, mode="stochastic", rng=np.random.default_rng(5))
-        assert np.array_equal(a.logits, b.logits)
-        assert a.log_prob == b.log_prob
-
-    def test_stochastic_needs_rng(self):
-        params = small_params(mode="stochastic")
-        with pytest.raises(ConfigError):
-            act(params, np.zeros(22), mode="stochastic")
-
-    def test_deterministic_policy_cannot_sample(self):
-        with pytest.raises(ConfigError):
-            act(small_params(), np.zeros(22), mode="stochastic",
-                rng=np.random.default_rng(0))
-
-    def test_reparameterization_mean(self):
-        params = small_params(mode="stochastic", seed=9)
         x = np.random.default_rng(2).standard_normal(22)
-        mean = act(params, x, mode="deterministic").logits
-        std = np.exp(params.values["actor.log_std"])
-        rng = np.random.default_rng(77)
-        n = 100_000
-        draws = np.stack([act(params, x, mode="stochastic", rng=rng).logits
-                          for _ in range(n)])
-        se = std / np.sqrt(n)
-        assert np.all(np.abs(draws.mean(axis=0) - mean) < 3 * se)
+        out = act(params, x)
+        assert out.logits.tobytes() == actor_logits(params, x).tobytes()
+        assert out.weights.tobytes() == softmax_weights(out.logits).tobytes()
+        with pytest.raises(ConfigError, match="'stochastic'"):
+            act(params, x, mode="stochastic")
 
 
 class TestValue:
     def test_zero_network_zero_value(self):
-        assert value(zero_params(), np.zeros(22)) == 0.0
+        assert value_rows(zero_params(), np.zeros((1, 22)))[0] == 0.0
 
     def test_finite_on_random_inputs(self, rng):
         params = small_params(seed=4)
-        assert np.isfinite(value(params, rng.standard_normal(22)))
+        assert np.isfinite(value_rows(params, rng.standard_normal((1, 22)))[0])
 
     def test_critic_weight_perturbation_moves_output(self, rng):
         params = small_params(seed=4)
-        x = rng.standard_normal(22)
-        before = value(params, x)
+        x = rng.standard_normal((1, 22))
+        before = value_rows(params, x)[0]
         params.values["critic.head_w"][0, 0] += 0.5
-        assert value(params, x) != before
+        assert value_rows(params, x)[0] != before
 
     @pytest.mark.parametrize("hidden", [(8,), (16, 16), (64, 64)])
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
@@ -113,7 +85,8 @@ class TestValue:
             x = rng.standard_normal((k, 55))
             got = value_rows(params, x)
             assert got.shape == (k,)
-            assert got.tobytes() == np.array([value(params, row) for row in x]).tobytes()
+            assert got.tobytes() == np.array([value_rows(params, row[None])[0]
+                                              for row in x]).tobytes()
             head = params.values["critic.head_w"]
             trunk = "actor" if shared_trunk else "critic"
             for row, v in zip(x, got):  # one lone matrix-vector product per layer
@@ -123,12 +96,12 @@ class TestValue:
                                 + params.values[f"{trunk}.b{i}"])
                 assert v == (head @ h + params.values["critic.head_b"])[0]
 
-    def test_rows_reject_non_finite_like_value(self, rng):
+    def test_rows_reject_non_finite_like_one_row(self, rng):
         params = small_params(seed=4)
         x = rng.standard_normal((3, 22))
         x[1, 0] = np.nan
         with pytest.raises(NumericError) as one:
-            value(params, x[1])
+            value_rows(params, x[1:2])
         with pytest.raises(NumericError) as rows:
             value_rows(params, x)
         assert str(rows.value) == str(one.value)
@@ -145,19 +118,67 @@ def _planner_args(rng, params, lam=0.0):
             0.001, 0.97, lam, 1e-8, zs)
 
 
+class TestOneRowPass:
+    """With one row, the shared pass and its reverse give the bits of plain
+    matrix-vector chains, which the pretrainers and their pins were built on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.lists(st.integers(1, 70), min_size=1, max_size=3),
+           st.sampled_from(["actor", "critic"]), st.booleans(), st.booleans())
+    def test_one_row_equals_plain_chains(self, seed, n_assets, hidden, net, shared_trunk,
+                                         add_to_trunk):
+        rng = np.random.default_rng(seed)
+        params = PolicyParams(PolicyConfig(n_assets=n_assets, hidden=tuple(hidden),
+                                           shared_trunk=shared_trunk, init_seed=seed % 97))
+        params.set_flat(params.flat() + 0.3 * rng.standard_normal(params.n_params()))
+        v = params.values
+        trunk = "actor" if shared_trunk else net
+        head = f"{net}.head"
+        x = rng.standard_normal(params.config.input_dim)
+
+        acts = mlp_forward(params, trunk, head, x[None])
+        hs = [x]
+        for i in range(len(hidden)):
+            hs.append(np.tanh(v[f"{trunk}.w{i}"] @ hs[-1] + v[f"{trunk}.b{i}"]))
+        hs.append(v[f"{head}_w"] @ hs[-1] + v[f"{head}_b"])
+        assert len(acts) == len(hs)
+        for got, want in zip(acts, hs):
+            assert got.shape == (1, want.size) and got[0].tobytes() == want.tobytes()
+
+        g = rng.standard_normal(hs[-1].size)
+        grads = PolicyParams(params.config, rng.standard_normal(params.n_params()))
+        want = {name: arr.copy() for name, arr in grads.values.items()}
+        mlp_backward(params, grads.values, trunk, head, acts, g[None], add_to_trunk)
+        want[f"{head}_w"], want[f"{head}_b"] = np.outer(g, hs[-2]), g
+        g = v[f"{head}_w"].T @ g
+        for i in reversed(range(len(hidden))):
+            g = g * (1.0 - hs[i + 1] * hs[i + 1])
+            w, b = f"{trunk}.w{i}", f"{trunk}.b{i}"
+            if add_to_trunk:
+                want[w], want[b] = want[w] + np.outer(g, hs[i]), want[b] + g
+            else:
+                want[w], want[b] = np.outer(g, hs[i]), g
+            if i:
+                g = v[w].T @ g
+        for name, arr in grads.values.items():
+            assert arr.tobytes() == want[name].tobytes(), name
+
+
 class TestGrad:
     def test_logit_sum_matches_fd(self, rng):
-        # the pretrainers' single-sample pass, with a unit gradient on every logit
+        # the shared pass over one row, as the pretrainers run it, with a unit
+        # gradient on every logit
         params = small_params(seed=6)
         params.set_flat(params.flat() + 0.1 * rng.standard_normal(params.n_params()))
-        x = rng.standard_normal(22)
+        x = rng.standard_normal((1, 22))
         grads = PolicyParams(params.config, np.zeros(params.n_params()))
-        _backward(params, grads, "actor", "actor.head",
-                  _forward(params, "actor", "actor.head", x), np.ones(3))
+        mlp_backward(params, grads.values, "actor", "actor.head",
+                     mlp_forward(params, "actor", "actor.head", x), np.ones((1, 3)))
         g = grads.vector
 
         def objective(p):
-            return float(np.sum(_forward(p, "actor", "actor.head", x)[-1]))
+            return float(np.sum(mlp_forward(p, "actor", "actor.head", x)[-1]))
 
         for i in rng.choice(params.actor_size, size=30, replace=False):
             fd = central_difference(objective, params, i)
@@ -203,19 +224,6 @@ class TestGrad:
 
 
 class TestCheckpoint:
-    def test_save_mutate_restore(self, rng):
-        params = small_params(seed=5)
-        snap = checkpoint(params)
-        params.set_flat(params.flat() + rng.standard_normal(params.n_params()))
-        restore(params, snap)
-        assert np.array_equal(params.flat(), snap.flat)
-
-    def test_restore_shape_mismatch(self):
-        params = small_params(hidden=(8, 8))
-        other = small_params(hidden=(16,))
-        with pytest.raises(ShapeError):
-            restore(params, checkpoint(other))
-
     def test_file_roundtrip_bitwise(self, tmp_path, rng):
         params = small_params(mode="stochastic", seed=11)
         params.set_flat(params.flat() + rng.standard_normal(params.n_params()))
@@ -281,7 +289,7 @@ class TestFlatVector:
         ref = fresh
         for other in (fresh.copy(), round_trip, loaded):
             for row in x:
-                assert value(other, row) == value(ref, row)
+                assert value_rows(other, row[None])[0] == value_rows(ref, row[None])[0]
                 assert act(other, row, mode="deterministic").weights.tobytes() == \
                     act(ref, row, mode="deterministic").weights.tobytes()
             assert actor_forward(other, x, z)[0].tobytes() == actor_forward(ref, x, z)[0].tobytes()
@@ -444,6 +452,23 @@ class TestPretrain:
         b = pretrain(mutated, EnvConfig(n_assets=1), **kwargs)
         assert np.array_equal(a.flat(), b.flat())
 
+    @pytest.mark.parametrize("algo", ["stochastic-ac", "deterministic-ac"])
+    def test_non_finite_critic_bootstrap_fails_the_step(self, monkeypatch, algo):
+        series = _rising_market(seed=5)
+        start = series.usable_range("train")[0]
+        update = _Adam.update
+
+        def update_then_poison_critic(self, params, g):
+            update(self, params, g)
+            if self.t == 3:  # the next step's bootstrap V(s_t+1) is NaN
+                params.values["critic.head_b"][0] = np.nan
+
+        monkeypatch.setattr(_Adam, "update", update_then_poison_critic)
+        mode = algo.split("-")[0]
+        with pytest.raises(TrainingError, match=f"non-finite loss at train step t={start + 3}$"):
+            pretrain(series, EnvConfig(n_assets=1), algo=algo, epochs=1, seed=0,
+                     config=PolicyConfig(n_assets=1, hidden=(8,), mode=mode))
+
     @pytest.mark.parametrize("algo, kwargs, epochs, digest", [
         ("stochastic-ac", dict(hidden=(64, 64), mode="stochastic"), 10,
          "a05a98c4f11c6604384982246da414ebe5a9f80d5ca0e7591552780212e5bdc0"),
@@ -494,11 +519,11 @@ class TestPretrainLosses:
     @pytest.mark.parametrize("shared_trunk", [False, True])
     def test_stochastic_loss_gradient(self, rng, shared_trunk):
         params = self._params(rng, "stochastic", shared_trunk)
-        x = rng.standard_normal(22)
+        x = rng.standard_normal((1, 22))
         sampled = rng.standard_normal(3)
 
         def loss(p, grads):
-            return _stochastic_loss(p, grads, _forward(p, "actor", "actor.head", x), sampled,
+            return _stochastic_loss(p, grads, mlp_forward(p, "actor", "actor.head", x), sampled,
                                     adv=0.7, target=0.3, value_coef=0.5, entropy_coef=0.01)
 
         self._check(loss, params, rng)
@@ -506,12 +531,12 @@ class TestPretrainLosses:
     @pytest.mark.parametrize("shared_trunk", [False, True])
     def test_deterministic_loss_gradient(self, rng, shared_trunk):
         params = self._params(rng, "deterministic", shared_trunk)
-        x = rng.standard_normal(22)
+        x = rng.standard_normal((1, 22))
         state = PortfolioState(1.3e5, softmax_weights(rng.standard_normal(3)), 0)
         rel = np.exp(0.05 * rng.standard_normal(2))
 
         def loss(p, grads):
-            return _deterministic_loss(p, grads, _forward(p, "actor", "actor.head", x), state,
+            return _deterministic_loss(p, grads, mlp_forward(p, "actor", "actor.head", x), state,
                                        rel, scale=1e5, fee=0.01, target=0.2, value_coef=0.5)
 
         self._check(loss, params, rng)
