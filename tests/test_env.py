@@ -195,6 +195,15 @@ class TestRunEpisode:
             run_episode(series, Agent(params), mode="stochastic",
                         env_config=EnvConfig(n_assets=2))
 
+    def test_repeat_runs_are_bitwise_equal(self):
+        # a stochastic policy acts on its mean, so an episode draws nothing
+        series = self._series(self._distinct_closes(200, 2))
+        params = PolicyParams(PolicyConfig(n_assets=2, hidden=(8,), mode="stochastic"))
+        a = run_episode(series, Agent(params), env_config=EnvConfig(n_assets=2))
+        b = run_episode(series, Agent(params), env_config=EnvConfig(n_assets=2))
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+
     def test_constant_market_only_fees(self):
         closes = np.full((200, 2), 80.0)
         series = make_series(closes)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ class TestAct:
         assert out.weights.tobytes() == softmax_weights(out.logits).tobytes()
         with pytest.raises(ConfigError, match="'stochastic'"):
             act(params, x, mode="stochastic")
+
+    def test_stochastic_policy_ignores_its_log_std(self, rng):
+        # acting reads only the mean logits, so the log-std head cannot move an action
+        params = small_params(mode="stochastic", seed=9)
+        x = rng.standard_normal(22)
+        before = act(params, x).weights.tobytes()
+        params.values["actor.log_std"][:] = np.log(1e-12)
+        assert act(params, x).weights.tobytes() == before
+        params.values["actor.log_std"][:] = 3.0
+        assert act(params, x).weights.tobytes() == before
 
 
 class TestValue:
@@ -252,6 +263,15 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(PolicyParams(PolicyConfig(**kwargs)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_load_rejects_data_of_another_architecture(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_params(hidden=(8, 8)), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["config"]["hidden"] = [16]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ShapeError, match="548"):
+            load_checkpoint(path)
 
 
 class TestFlatVector:
